@@ -9,7 +9,7 @@ from .tpoly import MultiPoly, TPoly, binomial_general
 from .schur import (E_series, H_series, SymFunc, TensorElem, TruncSeries,
                     antipode, coproduct, counit, e_gen, from_polynomial,
                     h_gen, hall, is_group_like, lr_coeff, p_gen, phi_t,
-                    schur, series_mul, to_polynomial, truncate)
+                    series_mul, to_polynomial, truncate)
 from .groth import (G_truncated, c_coeff, d_coeff, enumerate_rpp, g_coproduct,
                     g_skew, g_to_schur, rpp_generating_poly, rpp_weight,
                     schur_to_g)

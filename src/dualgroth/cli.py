@@ -16,7 +16,7 @@ from .operators import apply_operator, tilde_c, tilde_d
 from .partitions import parse_partition, size
 from .schur import SymFunc, TruncSeries, hall, lr_coeff
 from .serialize import g_expansion_json, series_json, symfunc_json, to_text
-from .suites import SUITES, iter_cases
+from .suites import DEFAULT_SEED, SUITES, iter_cases
 from .tpoly import T, parse_t_value
 
 
@@ -106,35 +106,26 @@ def cmd_verify(args):
         raise ExprError("verify needs --suite NAME or --list")
     if args.suite not in SUITES:
         raise ExprError("unknown suite %r; try verify --list" % args.suite)
+    if args.max_size is not None and args.max_size < 1:
+        raise ExprError("--max-size must be at least 1")
     start = time.monotonic()
     failures = 0
     count = 0
-    if args.jobs > 1:
-        from .suites import run_suite
-        results = run_suite(args.suite, args.max_size, args.seed, jobs=args.jobs)
-        for cid, ok, lhs, rhs in results:
-            count += 1
-            record = {"suite": args.suite, "case": cid,
-                      "status": "pass" if ok else "fail"}
-            if not ok:
-                failures += 1
-                record["lhs"] = lhs
-                record["rhs"] = rhs
-            _emit(record)
-    else:
-        for cid, thunk in iter_cases(args.suite, args.max_size, args.seed):
-            ok, lhs, rhs = thunk()
-            count += 1
-            record = {"suite": args.suite, "case": cid,
-                      "status": "pass" if ok else "fail"}
-            if not ok:
-                failures += 1
-                record["lhs"] = lhs
-                record["rhs"] = rhs
-            _emit(record)
+    for cid, thunk in iter_cases(args.suite, args.max_size, args.seed):
+        ok, lhs, rhs = thunk()
+        count += 1
+        record = {"suite": args.suite, "case": cid,
+                  "status": "pass" if ok else "fail"}
+        if not ok:
+            failures += 1
+            record["lhs"] = lhs
+            record["rhs"] = rhs
+        _emit(record)
     bound = (SUITES[args.suite].default_max_size
              if args.max_size is None else args.max_size)
-    from .suites import DEFAULT_SEED
+    if not count:
+        raise ExprError("suite %r yields no cases at max-size %d"
+                        % (args.suite, bound))
     _emit({"suite": args.suite, "max_size": bound,
            "seed": DEFAULT_SEED if args.seed is None else args.seed,
            "cases": count, "failures": failures,
@@ -186,8 +177,6 @@ def build_parser():
     p.add_argument("--list", action="store_true")
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="run independent cases in a thread pool")
     p.set_defaults(func=cmd_verify)
 
     return parser

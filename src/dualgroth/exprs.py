@@ -127,7 +127,10 @@ class _Parser:
 
 def parse_expr(text):
     parser = _Parser(tokenize(text))
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ExprError("expression is nested too deeply")
     parser.expect("end")
     return node
 

@@ -15,7 +15,7 @@ from .partitions import (cells, contains, interval, partitions_of_containing,
                          size, transpose)
 from .schur import (SymFunc, TensorElem, TruncSeries, hall, raw_is_symmetric,
                     schur_expand_raw)
-from .tpoly import ZERO, TPoly
+from .tpoly import ZERO, TPoly, add_terms
 
 
 def enumerate_rpp(outer, inner, max_entry):
@@ -174,12 +174,7 @@ def _schur_in_g(sigma):
         if tau == sigma:
             continue
         ci = c.as_int()
-        for ka, kc in _schur_in_g(tau).items():
-            v = row.get(ka, 0) - ci * kc
-            if v:
-                row[ka] = v
-            else:
-                row.pop(ka, None)
+        add_terms(row, ((ka, -ci * kc) for ka, kc in _schur_in_g(tau).items()))
     return row
 
 
@@ -189,23 +184,14 @@ def schur_to_g(f):
     Total on the ring: the transition from g to Schur is unitriangular by
     degree, so the inverse is applied degree by degree.
     """
-    out = {}
-    for sigma, c in f.terms.items():
-        for la, k in _schur_in_g(sigma).items():
-            s = out.get(la, ZERO) + c * k
-            if s.is_zero():
-                out.pop(la, None)
-            else:
-                out[la] = s
-    return out
+    return add_terms({}, ((la, c * k) for sigma, c in f.terms.items()
+                          for la, k in _schur_in_g(sigma).items()))
 
 
 def g_expansion_to_symfunc(expansion):
     """Inverse of schur_to_g: rebuild the SymFunc from g-basis coefficients."""
-    out = SymFunc.zero()
-    for la, c in expansion.items():
-        out = out + g_to_schur(la).scale(c)
-    return out
+    return SymFunc(add_terms({}, ((mu, c * k) for la, c in expansion.items()
+                                  for mu, k in g_to_schur(la).terms.items())))
 
 
 @cache
@@ -267,14 +253,6 @@ def g_coproduct(outer, inner=()):
     for nu in interval(inner, outer):
         left = schur_to_g(g_skew(outer, nu))
         right = schur_to_g(g_skew(nu, inner))
-        for a, ca in left.items():
-            for b, cb in right.items():
-                key = (a, b)
-                s = acc.get(key, ZERO) + ca * cb
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-    out = TensorElem()
-    out.terms = acc
-    return out
+        add_terms(acc, (((a, b), ca * cb) for a, ca in left.items()
+                        for b, cb in right.items()))
+    return TensorElem(acc)

@@ -17,7 +17,7 @@ from .partitions import (a_statistic, column_count, contains,
                          transpose, vertical_strip_removals)
 from .schur import (E_series, H_series, SymFunc, TruncSeries,
                     _coproduct_pairs, hall, series_mul)
-from .tpoly import ONE, T, ZERO, TPoly, _coerce, binomial_general
+from .tpoly import ONE, T, ZERO, TPoly, _coerce, add_terms, binomial_general
 
 
 class Functional:
@@ -65,18 +65,11 @@ def perp(F, f):
     if F.cap < f.degree():
         raise ValueError("functional cap %d is below the argument degree %d"
                          % (F.cap, f.degree()))
-    acc = {}
-    for sigma, c in f.terms.items():
-        for (tau, rho), k in _coproduct_pairs(sigma).items():
-            a = F.series.coeff(tau)
-            if a.is_zero():
-                continue
-            s = acc.get(rho, ZERO) + c * a * k
-            if s.is_zero():
-                acc.pop(rho, None)
-            else:
-                acc[rho] = s
-    return SymFunc(acc)
+    series = F.series.terms
+    return SymFunc(add_terms({}, ((rho, c * series[tau] * k)
+                                  for sigma, c in f.terms.items()
+                                  for (tau, rho), k in _coproduct_pairs(sigma).items()
+                                  if tau in series)))
 
 
 def convolution(F, G):
@@ -264,33 +257,26 @@ def skew_pieri(k, mu, nu):
     if not contains(nu, mu):
         raise ValueError("invalid skew shape %r/%r" % (mu, nu))
     nut = transpose(nu)
-    out = {}
-    for grow in range(k + 1):
-        for la in horizontal_strip_additions(mu, grow):
-            a_top = a_statistic(la, mu)
-            for eta in vertical_strip_removals(nu):
-                shrink = size(nu) - size(eta)
-                lower = k - grow - shrink
-                if lower < 0:
-                    continue
-                m = a_top - a_statistic(nut, transpose(eta)) - shrink
-                coef = ((-1) ** (k - grow)) * binomial_general(m, lower)
-                if coef:
-                    key = (la, eta)
-                    v = out.get(key, 0) + coef
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
-    return out
+
+    def pieri_terms():
+        for grow in range(k + 1):
+            for la in horizontal_strip_additions(mu, grow):
+                a_top = a_statistic(la, mu)
+                for eta in vertical_strip_removals(nu):
+                    shrink = size(nu) - size(eta)
+                    lower = k - grow - shrink
+                    if lower < 0:
+                        continue
+                    m = a_top - a_statistic(nut, transpose(eta)) - shrink
+                    yield (la, eta), (-1) ** (k - grow) * binomial_general(m, lower)
+
+    return add_terms({}, pieri_terms())
 
 
 def expand_skew_sum(formal):
     """Evaluate a formal {(la, eta): int} sum into a SymFunc."""
-    out = SymFunc.zero()
-    for (la, eta), c in formal.items():
-        out = out + g_skew(la, eta).scale(c)
-    return out
+    return SymFunc(add_terms({}, ((mu, c * k) for (la, eta), c in formal.items()
+                                  for mu, k in g_skew(la, eta).terms.items())))
 
 
 def tilde_c(la, mu, nu):

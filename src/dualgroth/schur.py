@@ -11,7 +11,8 @@ from functools import cache
 
 from .partitions import (contains, partitions_of, partitions_up_to, size,
                          sort_key, subpartitions, transpose)
-from .tpoly import ONE, T, ZERO, MultiPoly, TPoly, _coerce
+from .tpoly import (ONE, T, ZERO, LinComb, MultiPoly, TPoly, _coerce,
+                    add_terms)
 
 
 @cache
@@ -89,18 +90,24 @@ def _coproduct_pairs(sigma):
     return out
 
 
-class SymFunc:
+def _lr_terms(f, g, cap=None):
+    """(la, coefficient) pairs of the Schur product of the term dicts f and
+    g, skipping the pairs of degree above cap when a cap is given.
+    """
+    for mu, a in f.items():
+        room = None if cap is None else cap - size(mu)
+        for nu, b in g.items():
+            if room is not None and size(nu) > room:
+                continue
+            ab = a * b
+            for la, k in _mul_pair(*sorted((mu, nu))).items():
+                yield la, ab * k
+
+
+class SymFunc(LinComb):
     """Finite Schur-basis expansion with TPoly coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for la, c in (terms or {}).items():
-            c = _coerce(c)
-            if not c.is_zero():
-                clean[tuple(la)] = c
-        self.terms = clean
+    __slots__ = ()
 
     @staticmethod
     def zero():
@@ -110,62 +117,18 @@ class SymFunc:
     def one():
         return SymFunc({(): ONE})
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         return max((size(la) for la in self.terms), default=0)
 
     def coeff(self, la):
         return self.terms.get(tuple(la), ZERO)
 
-    def support(self):
-        return sorted(self.terms, key=sort_key)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for la, c in other.terms.items():
-            s = out.get(la, ZERO) + c
-            if s.is_zero():
-                out.pop(la, None)
-            else:
-                out[la] = s
-        return SymFunc(out)
-
-    def __neg__(self):
-        return SymFunc({la: -c for la, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = _coerce(c)
-        if c.is_zero():
-            return SymFunc()
-        return SymFunc({la: x * c for la, x in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, TPoly)):
             return self.scale(other)
-        out = {}
-        for mu, a in self.terms.items():
-            for nu, b in other.terms.items():
-                ab = a * b
-                for la, k in _mul_pair(*sorted((mu, nu))).items():
-                    s = out.get(la, ZERO) + ab * k
-                    if s.is_zero():
-                        out.pop(la, None)
-                    else:
-                        out[la] = s
-        return SymFunc(out)
+        return self._like(add_terms({}, _lr_terms(self.terms, other.terms)))
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, SymFunc) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -204,63 +167,33 @@ def p_gen(k):
     return SymFunc(terms)
 
 
-class TensorElem:
+class TensorElem(LinComb):
     """Element of the tensor square, a finite sum of s_mu (x) s_nu."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = _coerce(c)
-            if not c.is_zero():
-                clean[(tuple(key[0]), tuple(key[1]))] = c
-        self.terms = clean
+    @staticmethod
+    def _key(key):
+        return (tuple(key[0]), tuple(key[1]))
 
     def coeff(self, mu, nu):
         return self.terms.get((tuple(mu), tuple(nu)), ZERO)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return TensorElem(out)
-
-    def __sub__(self, other):
-        return self + TensorElem({k: -c for k, c in other.terms.items()})
-
-    def scale(self, c):
-        return TensorElem({k: x * _coerce(c) for k, x in self.terms.items()})
-
     def __mul__(self, other):
         """Componentwise product (a (x) b)(c (x) d) = ac (x) bd, bilinearly."""
-        out = TensorElem()
         acc = {}
         for (m1, n1), c1 in self.terms.items():
             for (m2, n2), c2 in other.terms.items():
                 c = c1 * c2
                 left = _mul_pair(*sorted((m1, m2)))
                 right = _mul_pair(*sorted((n1, n2)))
-                for lm, km in left.items():
-                    for ln, kn in right.items():
-                        key = (lm, ln)
-                        s = acc.get(key, ZERO) + c * (km * kn)
-                        if s.is_zero():
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = s
-        out.terms = acc
-        return out
+                add_terms(acc, (((lm, ln), c * (km * kn))
+                                for lm, km in left.items()
+                                for ln, kn in right.items()))
+        return self._like(acc)
 
     def swap(self):
-        return TensorElem({(nu, mu): c for (mu, nu), c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElem) and self.terms == other.terms
+        return self._like({(nu, mu): c for (mu, nu), c in self.terms.items()})
 
     def __repr__(self):
         bits = ["(%s)*s%r(x)s%r" % (c.text(), list(m), list(n))
@@ -270,30 +203,15 @@ class TensorElem:
 
 def coproduct(f):
     """Coproduct of f, linearly extended from the Schur rule."""
-    acc = {}
-    for sigma, c in f.terms.items():
-        for key, k in _coproduct_pairs(sigma).items():
-            s = acc.get(key, ZERO) + c * k
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-    out = TensorElem()
-    out.terms = acc
-    return out
+    return TensorElem(add_terms({}, ((key, c * k)
+                                     for sigma, c in f.terms.items()
+                                     for key, k in _coproduct_pairs(sigma).items())))
 
 
 def antipode(f):
     """Antipode: s_la -> (-1)^|la| s_(la transposed), linearly extended."""
-    out = {}
-    for la, c in f.terms.items():
-        lat = transpose(la)
-        s = out.get(lat, ZERO) + c * ((-1) ** size(la))
-        if s.is_zero():
-            out.pop(lat, None)
-        else:
-            out[lat] = s
-    return SymFunc(out)
+    return SymFunc(add_terms({}, ((transpose(la), c * (-1) ** size(la))
+                                  for la, c in f.terms.items())))
 
 
 def counit(f):
@@ -303,30 +221,30 @@ def counit(f):
 
 def phi_t(f):
     """Variable scaling x -> tx: multiply each degree-d term by t^d."""
-    if isinstance(f, TruncSeries):
-        return TruncSeries(f.cap, {la: c * T ** size(la) for la, c in f.terms.items()})
-    return SymFunc({la: c * T ** size(la) for la, c in f.terms.items()})
+    return f._like({la: c * T ** size(la) for la, c in f.terms.items()})
 
 
-class TruncSeries:
+class TruncSeries(LinComb):
     """Schur expansion holding every term of degree <= cap.
 
     Arithmetic between two series truncates to the smaller cap and records
-    it in the result; no coproduct is ever taken of a series.
+    it in the result; no coproduct is ever taken of a series.  Not a
+    SymFunc: callers tell a series from a polynomial by its type.
     """
 
-    __slots__ = ("cap", "terms")
+    __slots__ = ("cap",)
 
     def __init__(self, cap, terms=None):
         if cap < 0:
             raise ValueError("cap must be >= 0")
         self.cap = cap
-        clean = {}
-        for la, c in (terms or {}).items():
-            c = _coerce(c)
-            if not c.is_zero() and size(la) <= cap:
-                clean[tuple(la)] = c
-        self.terms = clean
+        LinComb.__init__(self, {la: c for la, c in (terms or {}).items()
+                                if size(la) <= cap})
+
+    def _like(self, terms):
+        out = LinComb._like(self, terms)
+        out.cap = self.cap
+        return out
 
     @staticmethod
     def unit(cap):
@@ -335,35 +253,14 @@ class TruncSeries:
     def coeff(self, la):
         return self.terms.get(tuple(la), ZERO)
 
-    def support(self):
-        return sorted(self.terms, key=sort_key)
-
     def __add__(self, other):
-        cap = min(self.cap, other.cap)
-        out = {la: c for la, c in self.terms.items() if size(la) <= cap}
-        for la, c in other.terms.items():
-            if size(la) > cap:
-                continue
-            s = out.get(la, ZERO) + c
-            if s.is_zero():
-                out.pop(la, None)
-            else:
-                out[la] = s
-        return TruncSeries(cap, out)
-
-    def __neg__(self):
-        return TruncSeries(self.cap, {la: -c for la, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = _coerce(c)
-        return TruncSeries(self.cap, {la: x * c for la, x in self.terms.items()})
+        return TruncSeries(min(self.cap, other.cap),
+                           add_terms(dict(self.terms), other.terms.items()))
 
     def __eq__(self, other):
-        return (isinstance(other, TruncSeries) and self.cap == other.cap
-                and self.terms == other.terms)
+        return LinComb.__eq__(self, other) and self.cap == other.cap
+
+    __hash__ = LinComb.__hash__
 
     def __repr__(self):
         bits = ["(%s)*s%r" % (c.text(), list(la)) for la, c in
@@ -381,22 +278,7 @@ def truncate(f, cap):
 def series_mul(F, G):
     """Product of truncated series, truncated at the smaller cap."""
     cap = min(F.cap, G.cap)
-    out = {}
-    for mu, a in F.terms.items():
-        dmu = size(mu)
-        if dmu > cap:
-            continue
-        for nu, b in G.terms.items():
-            if dmu + size(nu) > cap:
-                continue
-            ab = a * b
-            for la, k in _mul_pair(*sorted((mu, nu))).items():
-                s = out.get(la, ZERO) + ab * k
-                if s.is_zero():
-                    out.pop(la, None)
-                else:
-                    out[la] = s
-    return TruncSeries(cap, out)
+    return TruncSeries(cap, add_terms({}, _lr_terms(F.terms, G.terms, cap)))
 
 
 def H_series(N, t_param=T):
@@ -531,12 +413,7 @@ def schur_expand_raw(p, n):
         la = tuple(x for x in exp if x)
         c = p[exp]
         out[la] = c
-        for e2, c2 in ssyt_poly(la, n).items():
-            v = p.get(e2, 0) - c * c2
-            if v:
-                p[e2] = v
-            else:
-                p.pop(e2, None)
+        add_terms(p, ((e2, -c * c2) for e2, c2 in ssyt_poly(la, n).items()))
     return out
 
 
@@ -544,14 +421,8 @@ def to_polynomial(f, n):
     """Evaluate a SymFunc in the variables x_1..x_n."""
     if n < 1:
         raise ValueError("need at least one variable")
-    acc = {}
-    for la, c in f.terms.items():
-        for exp, k in ssyt_poly(la, n).items():
-            s = acc.get(exp, ZERO) + c * k
-            if s.is_zero():
-                acc.pop(exp, None)
-            else:
-                acc[exp] = s
+    acc = add_terms({}, ((exp, c * k) for la, c in f.terms.items()
+                         for exp, k in ssyt_poly(la, n).items()))
     return MultiPoly(n, acc)
 
 
@@ -576,10 +447,6 @@ def from_polynomial(p):
         if not slice_k:
             continue
         tk = T ** k
-        for la, c in schur_expand_raw(slice_k, p.nvars).items():
-            s = acc.get(la, ZERO) + tk * c
-            if s.is_zero():
-                acc.pop(la, None)
-            else:
-                acc[la] = s
+        add_terms(acc, ((la, tk * c)
+                        for la, c in schur_expand_raw(slice_k, p.nvars).items()))
     return SymFunc(acc)

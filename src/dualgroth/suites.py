@@ -679,14 +679,6 @@ def iter_cases(name, max_size=None, seed=None):
     return spec.func(bound, rng)
 
 
-def run_suite(name, max_size=None, seed=None, jobs=1):
+def run_suite(name, max_size=None, seed=None):
     """Run a suite; returns a list of (case_id, ok, lhs, rhs) in case order."""
-    cases = list(iter_cases(name, max_size, seed))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: c[1](), cases))
-    else:
-        results = [thunk() for _, thunk in cases]
-    return [(cid, ok, lhs, rhs)
-            for (cid, _), (ok, lhs, rhs) in zip(cases, results)]
+    return [(cid, *thunk()) for cid, thunk in iter_cases(name, max_size, seed)]

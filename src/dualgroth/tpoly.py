@@ -1,9 +1,11 @@
-"""Exact arithmetic: integer polynomials in the formal parameter t, and
-sparse multivariate polynomials over them.
+"""Exact arithmetic: integer polynomials in the formal parameter t, the
+sparse linear-combination core, and multivariate polynomials over t.
 
 TPoly is the scalar ring of the whole package; coefficients are Python
-ints, so nothing ever overflows or rounds.  MultiPoly evaluates symmetric
-generating functions in finitely many variables x_1..x_n.
+ints, so nothing ever overflows or rounds.  add_terms and LinComb hold
+every finite combination with TPoly coefficients: Schur expansions,
+truncated series, tensor-square elements and MultiPoly, which evaluates
+symmetric generating functions in finitely many variables x_1..x_n.
 """
 
 from math import factorial
@@ -32,6 +34,9 @@ class TPoly:
 
     def is_zero(self):
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def is_one(self):
         return self.coeffs == (1,)
@@ -171,31 +176,102 @@ def binomial_general(m, n):
     return num // factorial(n)
 
 
-class MultiPoly:
+def add_terms(acc, pairs):
+    """Add (key, coefficient) pairs into the dict acc and return it.
+
+    Coefficients are ints or TPolys; a key whose coefficient cancels is
+    dropped, so acc never holds a zero.
+    """
+    get = acc.get
+    for key, c in pairs:
+        s = get(key)
+        if s is None:
+            if c:
+                acc[key] = c
+        else:
+            s = s + c
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return acc
+
+
+class LinComb:
+    """Finite linear combination: a dict from keys to nonzero TPolys.
+
+    Subclasses fix the key shape (_key) and any state beside the terms,
+    which _like copies.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        for key, c in (terms or {}).items():
+            c = _coerce(c)
+            if c:
+                clean[self._key(key)] = c
+        self.terms = clean
+
+    _key = staticmethod(tuple)
+
+    def _like(self, terms):
+        """A combination of the same kind over terms already clean."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        return self._like(add_terms(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = _coerce(c)
+        if not c:
+            return self._like({})
+        return self._like({k: x * c for k, x in self.terms.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class MultiPoly(LinComb):
     """Sparse polynomial in x_1..x_n with TPoly coefficients.
 
     Keys are exponent tuples of length nvars; zero coefficients are never
     stored.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        clean = {}
-        for exp, c in (terms or {}).items():
-            c = _coerce(c)
-            if not c.is_zero():
-                if len(exp) != nvars:
-                    raise ValueError("exponent %r has wrong length" % (exp,))
-                clean[tuple(exp)] = c
-        self.terms = clean
+        LinComb.__init__(self, terms)
+
+    def _key(self, exp):
+        if len(exp) != self.nvars:
+            raise ValueError("exponent %r has wrong length" % (exp,))
+        return tuple(exp)
+
+    def _like(self, terms):
+        out = LinComb._like(self, terms)
+        out.nvars = self.nvars
+        return out
 
     @staticmethod
     def constant(nvars, c):
-        c = _coerce(c)
-        if c.is_zero():
-            return MultiPoly(nvars)
         return MultiPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
@@ -204,36 +280,18 @@ class MultiPoly:
         exp[i] = 1
         return MultiPoly(nvars, {tuple(exp): ONE})
 
-    def is_zero(self):
-        return not self.terms
-
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
     def __eq__(self, other):
-        return (isinstance(other, MultiPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
+        return LinComb.__eq__(self, other) and self.nvars == other.nvars
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+    __hash__ = LinComb.__hash__
 
     def __add__(self, other):
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, ZERO) + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return MultiPoly(self.nvars, out)
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return LinComb.__add__(self, other)
 
     def mul(self, other, degree_cap=None):
         """Exact product; terms above degree_cap dropped when a cap is given."""
@@ -242,21 +300,14 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if degree_cap is not None and d1 + sum(e2) > degree_cap:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.nvars, out)
+            add_terms(out, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                            for e2, c2 in other.terms.items()
+                            if degree_cap is None or d1 + sum(e2) <= degree_cap))
+        return self._like(out)
 
     def __mul__(self, other):
         if isinstance(other, (int, TPoly)):
-            c0 = _coerce(other)
-            return MultiPoly(self.nvars, {e: c * c0 for e, c in self.terms.items()})
+            return self.scale(other)
         return self.mul(other)
 
     __rmul__ = __mul__
@@ -275,15 +326,8 @@ class MultiPoly:
 
     def substitute_first(self, value):
         """Set x_1 = value (an integer) and drop that variable."""
-        out = {}
-        for exp, c in self.terms.items():
-            scaled = c * (value ** exp[0]) if exp[0] else c
-            e = exp[1:]
-            s = out.get(e, ZERO) + scaled
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+        out = add_terms({}, ((exp[1:], c * (value ** exp[0]) if exp[0] else c)
+                             for exp, c in self.terms.items()))
         return MultiPoly(self.nvars - 1, out)
 
     def shift_vars(self, total, offset):

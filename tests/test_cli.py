@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dualgroth import cli, suites
 
 
@@ -84,6 +86,8 @@ def test_expand_series_and_errors(capsys):
     assert code == 2
     code = cli.main(["expand", "--to", "s", "s[2,"])
     assert code == 2
+    code = cli.main(["expand", "--to", "s", "(" * 3000 + "s[1]" + ")" * 3000])
+    assert code == 2
 
 
 def test_deterministic_output(capsys):
@@ -112,12 +116,16 @@ def test_verify_small_max_size(capsys):
     assert lines[-1]["cases"] == 22
 
 
-def test_verify_jobs_flag_matches_serial(capsys):
-    serial = run_cli(capsys, "verify", "--suite", "g-top-term", "--max-size", "4")
-    parallel = run_cli(capsys, "verify", "--suite", "g-top-term",
-                       "--max-size", "4", "--jobs", "4")
-    # timing line differs; everything else is identical and ordered
-    assert serial[1][:-1] == parallel[1][:-1]
+@pytest.mark.parametrize("suite, bound", [("i-inverse", "-1"),
+                                          ("series-generators", "0")])
+def test_verify_rejects_bound_below_one(capsys, suite, bound):
+    assert run_cli(capsys, "verify", "--suite", suite, "--max-size", bound) == (2, [])
+
+
+def test_verify_without_cases_fails(capsys, monkeypatch):
+    monkeypatch.setitem(suites.SUITES, "empty-demo",
+                        suites.SuiteSpec(lambda max_size, rng: iter(()), 1, "demo"))
+    assert run_cli(capsys, "verify", "--suite", "empty-demo") == (2, [])
 
 
 def test_verify_reports_failure_witnesses(capsys):

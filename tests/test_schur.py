@@ -1,4 +1,5 @@
 import random
+from types import ModuleType
 
 import pytest
 
@@ -220,8 +221,29 @@ def test_series_min_cap():
     F = H_series(5)
     G = E_series(3)
     assert series_mul(F, G).cap == 3
-    assert (F + G).cap == 3
-    assert (F - G).cap == 3
+    for total in (F + G, G + F, F - G):
+        assert total.cap == 3
+        assert max(size(la) for la in total.terms) == 3
+    assert (-F).cap == F.scale(T).cap == 5
+    assert not isinstance(F, SymFunc)
+
+
+@pytest.mark.parametrize("f", [
+    schur((2, 1)) + schur((1,)).scale(T),
+    H_series(3),
+    TensorElem({((1,), ()): T, ((), (1,)): 2}),
+    MultiPoly(2, {(1, 0): T, (0, 1): 1}),
+])
+def test_lincomb_minus_itself_is_zero(f):
+    zero = f - f
+    assert zero.is_zero() and type(zero) is type(f)
+    assert zero == f + (-f) == f.scale(0)
+    assert f + zero == f
+
+
+def test_schur_submodule_not_shadowed():
+    import dualgroth.schur as m
+    assert isinstance(m, ModuleType)
 
 
 def test_truncate_checks_cap():

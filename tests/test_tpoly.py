@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dualgroth.tpoly import (MultiPoly, ONE, T, TPoly, ZERO,
+from dualgroth.tpoly import (MultiPoly, ONE, T, TPoly, ZERO, add_terms,
                              binomial_general, parse_t_value)
 
 
@@ -133,6 +133,17 @@ def test_mpoly_is_symmetric():
     assert not (x1.mul(x1) + x2).is_symmetric()
 
 
+@pytest.mark.parametrize("one", [1, ONE])
+def test_add_terms_drops_cancelled_keys(one):
+    acc = add_terms({}, [("a", one), ("b", one), ("c", one - one)])
+    assert acc == {"a": one, "b": one}
+    assert add_terms(acc, [("a", -one), ("b", one)]) is acc
+    assert acc == {"b": one + one}
+
+
 def test_mpoly_nvars_mismatch():
+    for op in (MultiPoly.mul, MultiPoly.__add__, MultiPoly.__sub__):
+        with pytest.raises(ValueError):
+            op(MultiPoly.variable(2, 0), MultiPoly.variable(3, 0))
     with pytest.raises(ValueError):
-        MultiPoly.variable(2, 0).mul(MultiPoly.variable(3, 0))
+        MultiPoly(2, {(1,): 1})
