@@ -13,10 +13,8 @@ from .schur import (E_series, H_series, SymFunc, TensorElem, TruncSeries,
 from .groth import (G_truncated, c_coeff, d_coeff, enumerate_rpp, g_coproduct,
                     g_skew, g_to_schur, rpp_generating_poly, rpp_weight,
                     schur_to_g)
-from .operators import (E_perp, Functional, H_perp, IncidenceFn,
-                        apply_operator, convolution, e_functional,
-                        expand_skew_sum, functional_eval, g_perp_functional,
-                        h_functional, inc_convolve, inc_delta, inc_it,
+from .operators import (E_perp, H_perp, IncidenceFn, apply_operator,
+                        expand_skew_sum, inc_convolve, inc_delta, inc_it,
                         inc_jt, inc_mobius, inc_zeta, op_I, op_I_inv, perp,
                         skew_pieri, telescoping_X, tilde_c, tilde_d)
 

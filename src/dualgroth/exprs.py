@@ -170,13 +170,6 @@ def format_expr(node, parent_prec=0):
     raise ExprError("unknown node %r" % (kind,))
 
 
-def has_series_atom(node):
-    if node[0] == "G":
-        return True
-    return any(has_series_atom(child) for child in node[1:]
-               if isinstance(child, tuple))
-
-
 def _promote(a, b):
     if isinstance(a, TruncSeries) and isinstance(b, SymFunc):
         return a, _embed(b, a.cap)
@@ -192,12 +185,34 @@ def _embed(f, cap):
     return truncate(f, cap)
 
 
+_BINARY = ("add", "sub", "mul")
+
+
 def eval_expr(node, cap=None):
     """Evaluate to a SymFunc, or a TruncSeries when G atoms occur.
 
-    G atoms require an explicit cap; every other value is exact.
+    G atoms require an explicit cap; every other value is exact.  A chain
+    of binary operators is folded along its left spine in a loop, so a flat
+    sum of many terms does not recurse once per term.
     """
     kind = node[0]
+    if kind in _BINARY:
+        spine = []
+        while node[0] in _BINARY:
+            spine.append(node)
+            node = node[1]
+        a = eval_expr(node, cap)
+        for op, _, right in reversed(spine):
+            a, b = _promote(a, eval_expr(right, cap))
+            if op == "add":
+                a = a + b
+            elif op == "sub":
+                a = a - b
+            elif isinstance(a, TruncSeries):
+                a = series_mul(a, b)
+            else:
+                a = a * b
+        return a
     if kind == "int":
         return SymFunc({(): TPoly.const(node[1])})
     if kind == "t":
@@ -223,14 +238,4 @@ def eval_expr(node, cap=None):
         return G_truncated(node[1], cap)
     if kind == "neg":
         return -eval_expr(node[1], cap)
-    a, b = eval_expr(node[1], cap), eval_expr(node[2], cap)
-    a, b = _promote(a, b)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        if isinstance(a, TruncSeries):
-            return series_mul(a, b)
-        return a * b
     raise ExprError("unknown node %r" % (kind,))

@@ -1,11 +1,9 @@
-"""Linear functionals, perp operators, the automorphism I and its
-t-deformations, the incidence algebra on Young's lattice, and the skew
-Pieri rule.
+"""Perp operators, the automorphism I and its t-deformations, the
+incidence algebra on Young's lattice, and the skew Pieri rule.
 
-A Functional wraps a truncated series F and acts by the Hall pairing
-(F, -).  Its perp operator feeds the first coproduct factor to the
-functional; caps are explicit and exceeding one is a hard error, never a
-silent truncation.
+The perp of a truncated series F feeds the first coproduct factor to the
+Hall pairing (F, -); caps are explicit and exceeding one is a hard error,
+never a silent truncation.
 """
 
 from functools import cache
@@ -15,93 +13,42 @@ from .partitions import (a_statistic, column_count, contains,
                          horizontal_strip_additions, interval,
                          is_vertical_strip, mobius, size, subpartitions,
                          transpose, vertical_strip_removals)
-from .schur import (E_series, H_series, SymFunc, TruncSeries,
-                    _coproduct_pairs, hall, series_mul)
+from .schur import E_series, H_series, SymFunc, _coproduct_pairs
 from .tpoly import ONE, T, ZERO, TPoly, _coerce, add_terms, binomial_general
 
 
-class Functional:
-    """The pairing functional (F, -) of a truncated series F."""
-
-    __slots__ = ("series",)
-
-    def __init__(self, series):
-        self.series = series
-
-    @property
-    def cap(self):
-        return self.series.cap
-
-    def __eq__(self, other):
-        return isinstance(other, Functional) and self.series == other.series
-
-    def __repr__(self):
-        return "Functional(%r)" % (self.series,)
-
-
-def h_functional(cap, t_param=T):
-    return Functional(H_series(cap, t_param))
-
-
-def e_functional(cap, t_param=T):
-    return Functional(E_series(cap, t_param))
-
-
-def g_perp_functional(mu, cap):
-    return Functional(G_truncated(tuple(mu), cap))
-
-
-def counit_functional(cap):
-    return Functional(TruncSeries.unit(cap))
-
-
-def functional_eval(F, f):
-    """Value of (F, f); errors when the cap cannot see all of f."""
-    return hall(F.series, f)
-
-
 def perp(F, f):
-    """The operator F-perp: feed the first coproduct leg to (F, -)."""
+    """The perp of the series F: feed the first coproduct leg to (F, -)."""
     if F.cap < f.degree():
-        raise ValueError("functional cap %d is below the argument degree %d"
+        raise ValueError("series cap %d is below the argument degree %d"
                          % (F.cap, f.degree()))
-    series = F.series.terms
+    series = F.terms
     return SymFunc(add_terms({}, ((rho, c * series[tau] * k)
                                   for sigma, c in f.terms.items()
                                   for (tau, rho), k in _coproduct_pairs(sigma).items()
                                   if tau in series)))
 
 
-def convolution(F, G):
-    """Convolution of pairing functionals: the functional of the product."""
-    return Functional(series_mul(F.series, G.series))
-
-
-def op_I(f):
-    """The automorphism sending g_la to the sum of g_mu over mu inside la.
-
-    Computed as the perp of the complete-homogeneous series at t = 1 with
-    the cap bound to the degree of f; the substitution f(x) -> f(1, x).
-    """
-    return perp(h_functional(f.degree(), 1), f)
-
-
-def op_I_inv(f):
-    """Inverse of op_I: the perp of the alternating elementary series."""
-    return perp(e_functional(f.degree(), -1), f)
-
-
 def H_perp(t_param, f):
     """Perp of H at a formal or integer parameter value."""
-    return perp(h_functional(f.degree(), _coerce(t_param)), f)
+    return perp(H_series(f.degree(), t_param), f)
 
 
 def E_perp(t_param, f):
     """Perp of E at a formal or integer parameter value."""
-    return perp(e_functional(f.degree(), _coerce(t_param)), f)
+    return perp(E_series(f.degree(), t_param), f)
 
 
-APPLY_OPS = ("I", "Iinv", "Hperp", "Eperp", "Gperp")
+def op_I(f):
+    """The automorphism sending g_la to the sum of g_mu over mu inside la:
+    the perp of H(1), that is the substitution f(x) -> f(1, x).
+    """
+    return H_perp(1, f)
+
+
+def op_I_inv(f):
+    """Inverse of op_I: the perp of the alternating elementary series E(-1)."""
+    return E_perp(-1, f)
 
 
 def apply_operator(name, f, t_param=None, mu=None):
@@ -117,7 +64,7 @@ def apply_operator(name, f, t_param=None, mu=None):
     if name == "Gperp":
         if mu is None:
             raise ValueError("Gperp needs the partition mu")
-        return perp(g_perp_functional(mu, f.degree()), f)
+        return perp(G_truncated(tuple(mu), f.degree()), f)
     raise ValueError("unknown operator %r" % name)
 
 

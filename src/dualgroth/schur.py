@@ -307,12 +307,8 @@ def is_group_like(F):
                 continue
             lhs = F.coeff(mu) * F.coeff(nu)
             rhs = ZERO
-            for la in partitions_of(n):
-                c = F.coeff(la)
-                if not c.is_zero():
-                    k = lr_coeff(la, mu, nu)
-                    if k:
-                        rhs = rhs + c * k
+            for la, k in _mul_pair(*sorted((mu, nu))).items():
+                rhs = rhs + F.coeff(la) * k
             if lhs != rhs:
                 return False
     return True
@@ -335,9 +331,8 @@ def hall(F, f):
 # ---------------------------------------------------------------------------
 # Symmetric polynomials in finitely many variables.
 #
-# The internal engine works on raw {exponent tuple: int} dicts; the public
-# MultiPoly entry points split TPoly coefficients into t-power slices and
-# reuse it.
+# The engine works on raw {exponent tuple: coefficient} dicts, with int
+# coefficients from the transfer and TPoly coefficients from a MultiPoly.
 
 @cache
 def ssyt_poly(la, n):
@@ -385,7 +380,7 @@ def ssyt_poly(la, n):
 
 
 def raw_is_symmetric(p, n):
-    """Symmetry of a raw int-dict polynomial under adjacent transpositions."""
+    """Symmetry of a raw polynomial dict under adjacent transpositions."""
     for i in range(n - 1):
         for exp, c in p.items():
             if exp[i] == exp[i + 1]:
@@ -398,11 +393,11 @@ def raw_is_symmetric(p, n):
 
 
 def schur_expand_raw(p, n):
-    """Expand a symmetric raw int-dict polynomial over Schur polynomials.
+    """Expand a symmetric raw polynomial dict over Schur polynomials.
 
-    Returns {partition: int} covering every partition with at most n rows;
-    repeatedly strips the lex-greatest surviving monomial, whose exponent
-    vector must be weakly decreasing for a symmetric input.
+    Returns {partition: coefficient} covering every partition with at most
+    n rows; repeatedly strips the lex-greatest surviving monomial, whose
+    exponent vector must be weakly decreasing for a symmetric input.
     """
     p = {e: c for e, c in p.items() if c}
     out = {}
@@ -429,24 +424,12 @@ def to_polynomial(f, n):
 def from_polynomial(p):
     """Lift a symmetric polynomial in n >= deg(p) variables back to a SymFunc.
 
-    The lift is the unique symmetric function of degree <= n restricting to
-    p; computed slice by slice in powers of t.
+    The lift is the unique symmetric function of degree <= n restricting
+    to p.
     """
-    if not p.is_symmetric():
+    if not raw_is_symmetric(p.terms, p.nvars):
         raise ValueError("input polynomial is not symmetric")
     if p.nvars < p.total_degree():
         raise ValueError("too few variables: %d for degree %d"
                          % (p.nvars, p.total_degree()))
-    maxpow = max((c.degree() for c in p.terms.values()), default=-1)
-    acc = {}
-    for k in range(maxpow + 1):
-        slice_k = {}
-        for exp, c in p.terms.items():
-            if k <= c.degree() and c.coeffs[k]:
-                slice_k[exp] = c.coeffs[k]
-        if not slice_k:
-            continue
-        tk = T ** k
-        add_terms(acc, ((la, tk * c)
-                        for la, c in schur_expand_raw(slice_k, p.nvars).items()))
-    return SymFunc(acc)
+    return SymFunc(schur_expand_raw(p.terms, p.nvars))

@@ -20,8 +20,8 @@ def g_expansion_json(expansion):
     return {"basis": "g", "terms": term_list(expansion)}
 
 
-def series_json(F, basis="s"):
-    return {"basis": basis, "cap": F.cap, "terms": term_list(F.terms)}
+def series_json(F):
+    return {"basis": "s", "cap": F.cap, "terms": term_list(F.terms)}
 
 
 def to_text(obj):

@@ -28,18 +28,11 @@ class TPoly:
     def const(n):
         return TPoly((n,))
 
-    @staticmethod
-    def t():
-        return TPoly((0, 1))
-
     def is_zero(self):
         return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def is_one(self):
-        return self.coeffs == (1,)
 
     def degree(self):
         """Degree, with the zero polynomial taken as degree -1."""
@@ -311,18 +304,6 @@ class MultiPoly(LinComb):
         return self.mul(other)
 
     __rmul__ = __mul__
-
-    def is_symmetric(self):
-        """Invariance under every adjacent transposition x_i <-> x_{i+1}."""
-        for i in range(self.nvars - 1):
-            for exp, c in self.terms.items():
-                if exp[i] == exp[i + 1]:
-                    continue
-                swapped = list(exp)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if self.terms.get(tuple(swapped), ZERO) != c:
-                    return False
-        return True
 
     def substitute_first(self, value):
         """Set x_1 = value (an integer) and drop that variable."""

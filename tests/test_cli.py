@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -90,10 +91,25 @@ def test_expand_series_and_errors(capsys):
     assert code == 2
 
 
+def test_flat_sum_of_many_terms(capsys):
+    code, lines = run_cli(capsys, "expand", "--to", "s", "+".join(["s[1]"] * 3000))
+    assert code == 0
+    assert lines == [{"basis": "s", "terms": [{"partition": [1], "coeff": "3000"}]}]
+
+
 def test_deterministic_output(capsys):
     first = run_cli(capsys, "expand", "--to", "g", "g[2,2]/[1]")
     second = run_cli(capsys, "expand", "--to", "g", "g[2,2]/[1]")
     assert first == second
+
+
+def test_verify_output_is_byte_identical(capsys):
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["verify", "--suite", "incidence-inverse"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0].splitlines()[-1])["cases"] > 0
 
 
 def test_verify_list_and_pass(capsys):
@@ -152,9 +168,13 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package from the same source tree as this process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "dualgroth.cli", "inner", "--series", "H",
          "--t", "t", "g[2,2]"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"value": "t^2"}

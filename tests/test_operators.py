@@ -1,17 +1,15 @@
 import pytest
 
-from dualgroth.groth import g_skew, g_to_schur, schur_to_g
-from dualgroth.operators import (E_perp, H_perp, IncidenceFn,
-                                 apply_operator, convolution,
-                                 counit_functional, e_functional,
-                                 expand_skew_sum, functional_eval,
-                                 g_perp_functional, h_functional,
-                                 inc_convolve, inc_delta, inc_it, inc_jt,
-                                 inc_mobius, inc_zeta, op_I, op_I_inv, perp,
-                                 skew_pieri, telescoping_X, tilde_c, tilde_d)
+from dualgroth.groth import G_truncated, g_skew, g_to_schur, schur_to_g
+from dualgroth.operators import (E_perp, H_perp, IncidenceFn, apply_operator,
+                                 expand_skew_sum, inc_convolve, inc_delta,
+                                 inc_it, inc_jt, inc_mobius, inc_zeta, op_I,
+                                 op_I_inv, perp, skew_pieri, telescoping_X,
+                                 tilde_c, tilde_d)
 from dualgroth.partitions import (interval, is_rook_strip, mobius,
                                   partitions_up_to, size, subpartitions)
-from dualgroth.schur import SymFunc, e_gen, h_gen, p_gen, schur
+from dualgroth.schur import (E_series, H_series, SymFunc, TruncSeries, e_gen,
+                             h_gen, hall, p_gen, schur, series_mul)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO
 
 
@@ -20,53 +18,53 @@ def as_int_dict(expansion):
 
 
 def test_functional_eval_stated_values():
-    assert functional_eval(h_functional(6), g_to_schur((3, 2, 1))) == T ** 3
-    assert functional_eval(e_functional(3), g_to_schur((1, 1, 1))) == T * (T + ONE) ** 2
-    assert functional_eval(e_functional(2, -1), g_to_schur((2,))) == ZERO
-    assert functional_eval(e_functional(0, -1), SymFunc.one()) == ONE
+    assert hall(H_series(6), g_to_schur((3, 2, 1))) == T ** 3
+    assert hall(E_series(3), g_to_schur((1, 1, 1))) == T * (T + ONE) ** 2
+    assert hall(E_series(2, -1), g_to_schur((2,))) == ZERO
+    assert hall(E_series(0, -1), SymFunc.one()) == ONE
     with pytest.raises(ValueError):
-        functional_eval(h_functional(1), schur((2,)))
+        hall(H_series(1), schur((2,)))
 
 
 def test_functional_values_on_generators():
     # substitution of a single 1: h_k -> 1, e_k -> 0 for k >= 2, p_k -> 1
     for k in range(6):
-        assert functional_eval(h_functional(k, 1), h_gen(k)) == ONE
+        assert hall(H_series(k, 1), h_gen(k)) == ONE
     for k in range(2, 6):
-        assert functional_eval(h_functional(k, 1), e_gen(k)) == ZERO
+        assert hall(H_series(k, 1), e_gen(k)) == ZERO
     for k in range(1, 6):
-        assert functional_eval(h_functional(k, 1), p_gen(k)) == ONE
+        assert hall(H_series(k, 1), p_gen(k)) == ONE
     # alternating column series: e_i -> (-1)^i, h_i -> 0 for i >= 2, p_i -> -1
     for k in range(6):
-        assert functional_eval(e_functional(k, -1), e_gen(k)) == TPoly.const((-1) ** k)
+        assert hall(E_series(k, -1), e_gen(k)) == TPoly.const((-1) ** k)
     for k in range(2, 6):
-        assert functional_eval(e_functional(k, -1), h_gen(k)) == ZERO
+        assert hall(E_series(k, -1), h_gen(k)) == ZERO
     for k in range(1, 6):
-        assert functional_eval(e_functional(k, -1), p_gen(k)) == TPoly.const(-1)
+        assert hall(E_series(k, -1), p_gen(k)) == TPoly.const(-1)
     # formal t versions
     for k in range(5):
-        assert functional_eval(h_functional(k), h_gen(k)) == T ** k
-        assert functional_eval(e_functional(k), e_gen(k)) == T ** k
+        assert hall(H_series(k), h_gen(k)) == T ** k
+        assert hall(E_series(k), e_gen(k)) == T ** k
     for k in range(2, 5):
-        assert functional_eval(h_functional(k), e_gen(k)) == ZERO
-        assert functional_eval(e_functional(k), h_gen(k)) == ZERO
+        assert hall(H_series(k), e_gen(k)) == ZERO
+        assert hall(E_series(k), h_gen(k)) == ZERO
     for k in range(1, 5):
-        assert functional_eval(h_functional(k), p_gen(k)) == T ** k
-        assert functional_eval(e_functional(k), p_gen(k)) == (T ** k) * ((-1) ** (k - 1))
+        assert hall(H_series(k), p_gen(k)) == T ** k
+        assert hall(E_series(k), p_gen(k)) == (T ** k) * ((-1) ** (k - 1))
 
 
 def test_perp_examples():
-    got = perp(g_perp_functional((1,), 3), g_to_schur((2, 1)))
+    got = perp(G_truncated((1,), 3), g_to_schur((2, 1)))
     assert got == g_skew((2, 1), (1,))
     f = g_to_schur((2, 1)) + schur((1,)).scale(T)
-    assert perp(counit_functional(3), f) == f
-    assert perp(h_functional(2, 1), g_to_schur((2,))) == \
+    assert perp(TruncSeries.unit(3), f) == f
+    assert perp(H_series(2, 1), g_to_schur((2,))) == \
         g_to_schur((2,)) + g_to_schur((1,)) + SymFunc.one()
 
 
 def test_perp_cap_is_hard():
     with pytest.raises(ValueError):
-        perp(h_functional(1, 1), schur((2,)))
+        perp(H_series(1, 1), schur((2,)))
 
 
 def test_op_I_matches_interval_sum():
@@ -109,20 +107,20 @@ def test_perp_parameter_examples():
 
 
 def test_convolution():
-    F = h_functional(4)
-    G = e_functional(4, -T)
-    assert convolution(F, G) == counit_functional(4)
-    assert convolution(F, counit_functional(4)) == F
+    F = H_series(4)
+    G = E_series(4, -T)
+    assert series_mul(F, G) == TruncSeries.unit(4)
+    assert series_mul(F, TruncSeries.unit(4)) == F
     # the convolution identity checked directly on g_(2,1)
     la, mu = (2, 1), ()
     total = ZERO
     for nu in interval(mu, la):
-        a = functional_eval(h_functional(3, 1), g_skew(la, nu))
-        b = functional_eval(e_functional(3, -1), g_skew(nu, mu))
+        a = hall(H_series(3, 1), g_skew(la, nu))
+        b = hall(E_series(3, -1), g_skew(nu, mu))
         total = total + a * b
     assert total == ZERO
-    conv = convolution(h_functional(3, 1), e_functional(3, -1))
-    assert functional_eval(conv, g_to_schur((2, 1))) == ZERO
+    conv = series_mul(H_series(3, 1), E_series(3, -1))
+    assert hall(conv, g_to_schur((2, 1))) == ZERO
 
 
 def test_apply_operator_dispatch():
@@ -240,13 +238,13 @@ def test_tilde_d_matches_image_product():
 
 def test_perp_operators_commute():
     f = g_to_schur((3, 1))
-    a = perp(g_perp_functional((1,), 4), op_I(f))
-    b = op_I(perp(g_perp_functional((1,), 4), f))
+    a = perp(G_truncated((1,), 4), op_I(f))
+    b = op_I(perp(G_truncated((1,), 4), f))
     assert a == b
 
 
 def test_functional_equality_and_series_mul_cap():
-    F = h_functional(4, 1)
-    G = h_functional(4, 1)
+    F = H_series(4, 1)
+    G = H_series(4, 1)
     assert F == G
-    assert convolution(F, e_functional(2, -1)).cap == 2
+    assert series_mul(F, E_series(2, -1)).cap == 2

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dualgroth.schur import raw_is_symmetric
 from dualgroth.tpoly import (MultiPoly, ONE, T, TPoly, ZERO, add_terms,
                              binomial_general, parse_t_value)
 
@@ -126,11 +127,15 @@ def test_mpoly_ring_laws_randomized():
 
 
 def test_mpoly_is_symmetric():
+    # MultiPoly terms, TPoly coefficients included, go through the raw check
     x1 = MultiPoly.variable(2, 0)
     x2 = MultiPoly.variable(2, 1)
-    assert (x1.mul(x1) + x2.mul(x2)).is_symmetric()
-    assert (x1.mul(x1).mul(x2) + x1.mul(x2).mul(x2)).is_symmetric()
-    assert not (x1.mul(x1) + x2).is_symmetric()
+    for p in (x1.mul(x1) + x2.mul(x2),
+              x1.mul(x1).mul(x2) + x1.mul(x2).mul(x2),
+              (x1 + x2).scale(T)):
+        assert raw_is_symmetric(p.terms, p.nvars)
+    for p in (x1.mul(x1) + x2, x1.scale(T) + x2):
+        assert not raw_is_symmetric(p.terms, p.nvars)
 
 
 @pytest.mark.parametrize("one", [1, ONE])
