@@ -4,12 +4,16 @@ series G, and the two families of structure constants.
 g_{la/mu} is the generating function of reverse plane partitions of the
 skew shape, where a filling contributes one power of x_i per *column*
 containing the entry i.  That column-counting weight is what makes g
-inhomogeneous.  The series G_la is obtained from the duality
-(G_la, g_mu) = delta via a triangular solve against the g-to-Schur
-transition.
+inhomogeneous.  A straight g_la is built directly in the Schur basis
+from elegant fillings (Lam-Pylyavskyy, arXiv:0705.2189, Thm 9.8); a
+skew g is the reverse-plane-partition sum, evaluated by a column
+transfer and lifted to the Schur basis.  The series G_la is obtained
+from the duality (G_la, g_mu) = delta via a triangular solve against
+the g-to-Schur transition.
 """
 
 from functools import cache
+from itertools import product
 
 from .partitions import (cells, contains, interval, partitions_of_containing,
                          size, transpose)
@@ -138,13 +142,36 @@ def rpp_generating_poly(outer, inner, nvars):
 
 
 @cache
+def _elegant(nu, k):
+    """{mu: number of elegant fillings of nu/mu with entries <= k}
+    (read-only).
+
+    An elegant filling is a semistandard tableau whose row-i entries
+    (1-indexed) lie in 1..i-1.  Its entries equal to k form a horizontal
+    strip in rows k+1, ...; peeling that strip keeps nu[:k] and leaves
+    every later row i between nu[i+1] and nu[i].
+    """
+    if k == 0:
+        return {nu: 1}
+    tail = nu[k:]
+    acc = {}
+    for rows in product(*(range(lo, hi + 1)
+                           for hi, lo in zip(tail, tail[1:] + (0,)))):
+        rho = nu[:k] + tuple(r for r in rows if r)
+        add_terms(acc, _elegant(rho, k - 1).items())
+    return acc
+
+
+@cache
 def g_skew(outer, inner=()):
     """The dual stable Grothendieck polynomial of outer/inner as a SymFunc.
 
-    Zero when inner is not contained in outer.  The generating polynomial
-    is computed in enough variables to see every Schur component (the
-    expansion of g_{la/mu} is supported on subpartitions of la, so
-    min(|la/mu|, rows of la) variables suffice) and then lifted.
+    Zero when inner is not contained in outer.  A straight shape la is
+    sum_mu f^mu_la s_mu, where f^mu_la counts the elegant fillings of
+    la/mu.  A skew shape takes the generating polynomial in enough
+    variables to see every Schur component (the expansion of g_{la/mu} is
+    supported on subpartitions of la, so min(|la/mu|, rows of la)
+    variables suffice), checks that it is symmetric and lifts it.
     """
     outer, inner = tuple(outer), tuple(inner)
     if not contains(inner, outer):
@@ -152,6 +179,8 @@ def g_skew(outer, inner=()):
     ncells = size(outer) - size(inner)
     if ncells == 0:
         return SymFunc.one()
+    if not inner:
+        return SymFunc(_elegant(outer, len(outer) - 1))
     n = max(1, min(ncells, len(outer)))
     raw = rpp_generating_poly(outer, inner, n)
     if not raw_is_symmetric(raw, n):

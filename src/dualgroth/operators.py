@@ -64,7 +64,9 @@ def apply_operator(name, f, t_param=None, mu=None):
     if name == "Gperp":
         if mu is None:
             raise ValueError("Gperp needs the partition mu")
-        return perp(G_truncated(tuple(mu), f.degree()), f)
+        mu = tuple(mu)
+        # below its degree G_mu^perp is zero: cap at |mu| so the solve exists
+        return perp(G_truncated(mu, max(f.degree(), size(mu))), f)
     raise ValueError("unknown operator %r" % name)
 
 

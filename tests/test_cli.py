@@ -53,6 +53,26 @@ def test_apply_examples(capsys):
     assert lines == [{"basis": "s", "terms": [{"partition": [2, 1], "coeff": "1"}]}]
 
 
+def test_gperp_below_degree_is_zero(capsys):
+    for mu, expr in (("[3]", "g[2]"), ("[1]", "0")):
+        code, lines = run_cli(capsys, "apply", "--op", "Gperp", "--mu", mu, expr)
+        assert code == 0
+        assert lines == [{"basis": "g", "terms": []}]
+
+
+def test_staircase_g_expands(capsys):
+    code, lines = run_cli(capsys, "expand", "--to", "s", "g[6,5,4,3,2,1]")
+    assert code == 0
+    terms = lines[0]["terms"]
+    assert len(terms) == 132
+    assert terms[0] == {"partition": [6], "coeff": "1"}
+    assert terms[-1] == {"partition": [6, 5, 4, 3, 2, 1], "coeff": "1"}
+    # (H(1), g_la) = 1 for every la
+    code, lines = run_cli(capsys, "inner", "--series", "H", "--t", "1",
+                          "g[6,5,4,3,2,1]")
+    assert code == 0 and lines == [{"value": "1"}]
+
+
 def test_inner_examples(capsys):
     code, lines = run_cli(capsys, "inner", "--series", "H", "--t", "t", "g[3,1]")
     assert code == 0 and lines == [{"value": "t^3"}]

@@ -1,5 +1,6 @@
 import pytest
 
+from dualgroth import groth
 from dualgroth.groth import (G_truncated, c_coeff, d_coeff, enumerate_rpp,
                              g_coproduct, g_skew, g_to_schur,
                              g_expansion_to_symfunc, rpp_generating_poly,
@@ -52,6 +53,31 @@ def test_g_skew_small_values():
     assert g_skew((1, 1), ()) == schur((1, 1)) + schur((1,))
     assert g_skew((3, 1), (3, 1)) == SymFunc.one()
     assert g_skew((1,), (2,)).is_zero()
+
+
+def test_straight_g_matches_transfer_and_lift():
+    # independent route for straight shapes: RPP transfer, symmetry check,
+    # Schur lift
+    for la in partitions_up_to(10):
+        n = max(1, len(la))
+        raw = rpp_generating_poly(la, (), n)
+        assert raw_is_symmetric(raw, n), la
+        assert as_int_dict(g_to_schur(la).terms) == schur_expand_raw(raw, n), la
+    assert g_to_schur((2, 2)) == schur((2,)) + schur((2, 1)) + schur((2, 2))
+
+
+def test_straight_g_skips_transfer(monkeypatch):
+    def boom(*args):
+        raise AssertionError("transfer called for a straight shape")
+
+    monkeypatch.setattr(groth, "rpp_generating_poly", boom)
+    g_skew.cache_clear()
+    try:
+        assert g_skew((3, 2, 1), ()).coeff((3, 2, 1)) == ONE
+        with pytest.raises(AssertionError):
+            g_skew((3, 2, 1), (1,))
+    finally:
+        g_skew.cache_clear()
 
 
 def test_g_skew_variable_count_reduction_is_safe():
