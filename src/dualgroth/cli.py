@@ -8,6 +8,7 @@ error.
 
 import argparse
 import sys
+from functools import cache
 
 from .exprs import ExprError, eval_expr, parse_expr
 from .groth import G_truncated, c_coeff, d_coeff, schur_to_g
@@ -129,7 +130,9 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process and reused by main."""
     parser = argparse.ArgumentParser(
         prog="dualgroth",
         description="Exact computations in the dual stable Grothendieck basis "

@@ -3,14 +3,20 @@ polynomials in t.
 
 SymFunc is a finite Schur expansion; TruncSeries holds every term of degree
 at most an explicit cap and models elements of the completion (H(t), E(t),
-stable Grothendieck series).  Products use the Littlewood-Richardson rule,
-computed by direct enumeration of lattice-word skew tableaux.
+stable Grothendieck series).  Products use the Littlewood-Richardson rule:
+_mul_pair grows one factor by horizontal strips of the other's content
+under the lattice-word condition, so its cost follows the size of the
+answer.  lr_coeff counts the lattice-word skew tableaux of one shape
+directly; it answers single-coefficient queries, feeds the coproduct and
+is the oracle the product is tested against.  The cached product and
+coproduct tables are read-only mappings.
 """
 
 from functools import cache
+from types import MappingProxyType
 
-from .partitions import (contains, partitions_of, partitions_up_to, size,
-                         sort_key, subpartitions, transpose)
+from .partitions import (contains, partitions_up_to, size, sort_key,
+                         subpartitions, transpose)
 from .tpoly import (ONE, T, ZERO, LinComb, MultiPoly, TPoly, _coerce,
                     add_terms)
 
@@ -65,29 +71,67 @@ def lr_coeff(la, mu, nu):
 
 @cache
 def _mul_pair(mu, nu):
-    """Schur expansion of s_mu s_nu as a read-only dict la -> int."""
-    n = size(mu) + size(nu)
+    """Schur expansion of s_mu s_nu as a read-only mapping la -> int, in the
+    order of partitions_of.
+
+    Littlewood-Richardson rule grown label by label (Fulton, Young Tableaux,
+    section 5): step j adds to the shape a horizontal strip of nu_j cells
+    labelled j, and row r takes only as many as keep the j's in rows <= r at
+    most the (j-1)'s in rows < r, the lattice condition on the reverse
+    reading word.  A state is the shape with the row counts of the last
+    label; equal states merge and add their multiplicities.  Only shapes
+    reachable this way are built, never the other partitions of |mu|+|nu|.
+    The content with fewer rows takes fewer steps and is the cheaper one
+    to add (c^la_{mu nu} = c^la_{nu mu}).
+    """
+    if len(nu) > len(mu):
+        mu, nu = nu, mu
+    states = {(mu, ()): 1}
+    for j, k in enumerate(nu):
+        grown = {}
+        for (shape, prev), mult in states.items():
+            ext = shape + (0,)
+            # partial strips: (row, cells left, lattice room, parts, counts)
+            stack = [(0, k, 0 if j else k, (), ())]
+            while stack:
+                r, left, room, parts, counts = stack.pop()
+                if not left:
+                    key = (parts + shape[r:], counts)
+                    grown[key] = grown.get(key, 0) + mult
+                    continue
+                if 0 < r <= len(prev):
+                    room += prev[r - 1]
+                top = min(left, room, ext[r - 1] - ext[r] if r else left)
+                # the rows below r hold at most ext[r] cells of the strip
+                for a in range(max(0, left - ext[r]), top + 1):
+                    stack.append((r + 1, left - a, room - a,
+                                  parts + (ext[r] + a,), counts + (a,)))
+        states = grown
     out = {}
-    for la in partitions_of(n):
-        if contains(mu, la) and contains(nu, la):
-            c = lr_coeff(la, mu, nu)
-            if c:
-                out[la] = c
-    return out
+    for (la, _), mult in states.items():
+        out[la] = out.get(la, 0) + mult
+    return MappingProxyType(dict(sorted(out.items(), reverse=True)))
 
 
 @cache
 def _coproduct_pairs(sigma):
-    """Coproduct of s_sigma as a read-only dict (tau, rho) -> int."""
-    out = {}
+    """Coproduct of s_sigma as a read-only mapping (tau, rho) -> int.
+
+    Each tau inside sigma pairs with the rho inside sigma of the
+    complementary size; lr_coeff gives the coefficient.
+    """
     n = size(sigma)
-    for tau in subpartitions(sigma):
-        for rho in partitions_of(n - size(tau)):
-            if contains(rho, sigma):
-                c = lr_coeff(sigma, tau, rho)
-                if c:
-                    out[(tau, rho)] = c
-    return out
+    subs = subpartitions(sigma)
+    by_size = {}
+    for rho in subs:
+        by_size.setdefault(size(rho), []).append(rho)
+    out = {}
+    for tau in subs:
+        for rho in by_size.get(n - size(tau), ()):
+            c = lr_coeff(sigma, tau, rho)
+            if c:
+                out[(tau, rho)] = c
+    return MappingProxyType(out)
 
 
 def _lr_terms(f, g, cap=None):

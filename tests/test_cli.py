@@ -187,14 +187,47 @@ def test_verify_unknown_suite(capsys):
     assert cli.main(["verify"]) == 2
 
 
-def test_console_entry_point():
+def _fresh_cli(*argv):
+    """Exit code and stdout of the CLI in a new interpreter process."""
     # the child imports the package from the same source tree as this process
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "dualgroth.cli", "inner", "--series", "H",
-         "--t", "t", "g[2,2]"],
-        capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    assert json.loads(out.stdout) == {"value": "t^2"}
+    out = subprocess.run([sys.executable, "-m", "dualgroth.cli", *argv],
+                         capture_output=True, text=True, env=env)
+    return out.returncode, out.stdout
+
+
+def test_console_entry_point():
+    code, out = _fresh_cli("inner", "--series", "H", "--t", "t", "g[2,2]")
+    assert code == 0
+    assert json.loads(out) == {"value": "t^2"}
+
+
+def test_reused_parser_matches_fresh_process(capsys):
+    # main builds its parser once per process; a usage error must leave it
+    # fit for the calls that follow
+    calls = [
+        ["expand", "--to", "x", "s[1]"],
+        ["expand", "--to", "s", "s[2,1]*s[1]"],
+        ["constants", "--family", "lr", "--lambda", "[3,2,1]",
+         "--mu", "[2,1]", "--nu", "[2,1]"],
+        ["apply", "--op", "Hperp", "--t", "t", "--to", "s", "s[3,1]"],
+    ]
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == _fresh_cli(*argv)
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_large_row_product_is_pieri(capsys):
+    # s_60 s_60 = sum of s_(120-i, i): the product grows only the answer's
+    # shapes, never the partitions of 120
+    code, lines = run_cli(capsys, "expand", "--to", "s", "s[60]*s[60]")
+    assert code == 0
+    terms = lines[0]["terms"]
+    assert sorted((t["partition"], t["coeff"]) for t in terms) == sorted(
+        ([120 - i, i] if i else [120], "1") for i in range(61))

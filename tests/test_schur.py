@@ -3,11 +3,12 @@ from types import ModuleType
 
 import pytest
 
-from dualgroth.partitions import (horizontal_strip_additions,
+from dualgroth.partitions import (contains, horizontal_strip_additions,
                                   partitions_of, partitions_up_to, size,
                                   subpartitions, transpose)
 from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
-                             TruncSeries, antipode, coproduct, counit, e_gen,
+                             TruncSeries, _coproduct_pairs, _mul_pair,
+                             antipode, coproduct, counit, e_gen,
                              from_polynomial, h_gen, hall, is_group_like,
                              lr_coeff, p_gen, phi_t, schur, series_mul,
                              to_polynomial, truncate)
@@ -59,6 +60,43 @@ def test_lr_symmetries_up_to_6():
                 c = lr_coeff(la, mu, nu)
                 assert c == lr_coeff(la, nu, mu)
                 assert c == lr_coeff(transpose(la), transpose(mu), transpose(nu))
+
+
+def test_mul_pair_matches_lr_scan_up_to_8():
+    # oracle: lr_coeff on every partition of |mu| + |nu|
+    for n in range(9):
+        for m in range(n + 1):
+            for mu in partitions_of(m):
+                for nu in partitions_of(n - m):
+                    scan = {la: lr_coeff(la, mu, nu) for la in partitions_of(n)
+                            if contains(mu, la) and contains(nu, la)}
+                    want = {la: c for la, c in scan.items() if c}
+                    assert dict(_mul_pair(mu, nu)) == want
+                    assert list(_mul_pair(mu, nu)) == list(want)
+
+
+def test_coproduct_pairs_match_scan_up_to_8():
+    # oracle: every tau inside sigma against every partition of the rest
+    for sigma in partitions_up_to(8):
+        want = {}
+        for tau in subpartitions(sigma):
+            for rho in partitions_of(size(sigma) - size(tau)):
+                if contains(rho, sigma):
+                    c = lr_coeff(sigma, tau, rho)
+                    if c:
+                        want[(tau, rho)] = c
+        assert dict(_coproduct_pairs(sigma)) == want
+
+
+@pytest.mark.parametrize("table, args, key", [
+    (_mul_pair, ((2, 1), (2,)), (4, 1)),
+    (_coproduct_pairs, ((2, 1),), ((1,), (1, 1))),
+])
+def test_cached_tables_are_read_only(table, args, key):
+    first = dict(table(*args))
+    with pytest.raises(TypeError):
+        table(*args)[key] = 5
+    assert dict(table(*args)) == first
 
 
 def test_mul_examples():
