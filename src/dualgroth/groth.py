@@ -14,12 +14,13 @@ the g-to-Schur transition.
 
 from functools import cache
 from itertools import product
+from types import MappingProxyType
 
 from .partitions import (cells, contains, interval, partitions_of_containing,
                          size, transpose)
 from .schur import (SymFunc, TensorElem, TruncSeries, hall, raw_is_symmetric,
                     schur_expand_raw)
-from .tpoly import ZERO, TPoly, add_terms
+from .tpoly import ZERO, add_terms
 
 
 def enumerate_rpp(outer, inner, max_entry):
@@ -152,14 +153,14 @@ def _elegant(nu, k):
     every later row i between nu[i+1] and nu[i].
     """
     if k == 0:
-        return {nu: 1}
+        return MappingProxyType({nu: 1})
     tail = nu[k:]
     acc = {}
     for rows in product(*(range(lo, hi + 1)
                            for hi, lo in zip(tail, tail[1:] + (0,)))):
         rho = nu[:k] + tuple(r for r in rows if r)
         add_terms(acc, _elegant(rho, k - 1).items())
-    return acc
+    return MappingProxyType(acc)
 
 
 @cache
@@ -171,23 +172,25 @@ def g_skew(outer, inner=()):
     la/mu.  A skew shape takes the generating polynomial in enough
     variables to see every Schur component (the expansion of g_{la/mu} is
     supported on subpartitions of la, so min(|la/mu|, rows of la)
-    variables suffice), checks that it is symmetric and lifts it.
+    variables suffice), checks that it is symmetric and lifts it.  The
+    result is cached and shared, so its terms are a read-only mapping.
     """
     outer, inner = tuple(outer), tuple(inner)
-    if not contains(inner, outer):
-        return SymFunc.zero()
     ncells = size(outer) - size(inner)
-    if ncells == 0:
-        return SymFunc.one()
-    if not inner:
-        return SymFunc(_elegant(outer, len(outer) - 1))
-    n = max(1, min(ncells, len(outer)))
-    raw = rpp_generating_poly(outer, inner, n)
-    if not raw_is_symmetric(raw, n):
-        raise RuntimeError("generating polynomial of %r/%r is not symmetric"
-                           % (outer, inner))
-    return SymFunc({la: TPoly.const(c)
-                    for la, c in schur_expand_raw(raw, n).items()})
+    if not contains(inner, outer):
+        f = SymFunc.zero()
+    elif ncells == 0:
+        f = SymFunc.one()
+    elif not inner:
+        f = SymFunc(_elegant(outer, len(outer) - 1))
+    else:
+        n = max(1, min(ncells, len(outer)))
+        raw = rpp_generating_poly(outer, inner, n)
+        if not raw_is_symmetric(raw, n):
+            raise RuntimeError("generating polynomial of %r/%r is not symmetric"
+                               % (outer, inner))
+        f = SymFunc(schur_expand_raw(raw, n))
+    return f.frozen()
 
 
 def g_to_schur(la):
@@ -204,7 +207,7 @@ def _schur_in_g(sigma):
             continue
         ci = c.as_int()
         add_terms(row, ((ka, -ci * kc) for ka, kc in _schur_in_g(tau).items()))
-    return row
+    return MappingProxyType(row)
 
 
 def schur_to_g(f):
@@ -229,7 +232,8 @@ def G_truncated(la, N):
 
     The unique Schur expansion supported in degrees |la|..N pairing to
     delta_{la,mu} against every g_mu with |mu| <= N; its lowest component
-    is s_la and its support sits on partitions containing la.
+    is s_la and its support sits on partitions containing la.  Its terms
+    are a read-only mapping.
     """
     la = tuple(la)
     if N < size(la):
@@ -245,7 +249,7 @@ def G_truncated(la, N):
                     val -= a * c.as_int()
             if val:
                 coeffs[sigma] = val
-    return TruncSeries(N, {k: TPoly.const(v) for k, v in coeffs.items()})
+    return TruncSeries(N, coeffs).frozen()
 
 
 def c_coeff(la, mu, nu):

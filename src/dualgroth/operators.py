@@ -1,9 +1,12 @@
 """Perp operators, the automorphism I and its t-deformations, the
 incidence algebra on Young's lattice, and the skew Pieri rule.
 
-The perp of a truncated series F feeds the first coproduct factor to the
-Hall pairing (F, -); caps are explicit and exceeding one is a hard error,
-never a silent truncation.
+The perp of a truncated series F is the adjoint of multiplication by F
+under the Hall pairing.  It reads only the support of F: each tau there
+contributes F_tau s_{sigma/tau} through the skew kernel schur._skew, so
+the one-row H(t) and one-column E(t) take the Pieri rule and never an LR
+coefficient.  Caps are explicit and exceeding one is a hard error, never
+a silent truncation.
 """
 
 from functools import cache
@@ -13,20 +16,22 @@ from .partitions import (a_statistic, column_count, contains,
                          horizontal_strip_additions, interval,
                          is_vertical_strip, mobius, size, subpartitions,
                          transpose, vertical_strip_removals)
-from .schur import E_series, H_series, SymFunc, _coproduct_pairs
+from .schur import E_series, H_series, SymFunc, _skew
 from .tpoly import ONE, T, ZERO, TPoly, _coerce, add_terms, binomial_general
 
 
 def perp(F, f):
-    """The perp of the series F: feed the first coproduct leg to (F, -)."""
+    """The perp of the series F: the adjoint of multiplication by F under
+    the Hall pairing, sum over tau in F of F_tau s_{sigma/tau} for each
+    term s_sigma of f.
+    """
     if F.cap < f.degree():
         raise ValueError("series cap %d is below the argument degree %d"
                          % (F.cap, f.degree()))
-    series = F.terms
-    return SymFunc(add_terms({}, ((rho, c * series[tau] * k)
+    return SymFunc(add_terms({}, ((rho, c * a * k)
                                   for sigma, c in f.terms.items()
-                                  for (tau, rho), k in _coproduct_pairs(sigma).items()
-                                  if tau in series)))
+                                  for tau, a in F.terms.items() if contains(tau, sigma)
+                                  for rho, k in _skew(sigma, tau).items())))
 
 
 def H_perp(t_param, f):

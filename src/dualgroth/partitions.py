@@ -7,6 +7,7 @@ zeros on the fly.  A skew shape is an ordered pair ``(outer, inner)`` with
 """
 
 from functools import cache
+from operator import le
 
 
 def as_partition(parts):
@@ -33,8 +34,8 @@ def size(la):
 def contains(mu, la):
     """True iff mu_i <= la_i for all i, i.e. mu sits inside la."""
     if len(mu) > len(la):
-        return all(x == 0 for x in mu[len(la):]) and contains(mu[:len(la)], la)
-    return all(m <= l for m, l in zip(mu, la))
+        return not any(mu[len(la):]) and contains(mu[:len(la)], la)
+    return all(map(le, mu, la))
 
 
 @cache
@@ -237,6 +238,22 @@ def vertical_strip_removals(nu):
 
     build(0, [])
     return sorted(set(out), key=sort_key)
+
+
+def horizontal_strip_removals(la, k):
+    """All mu inside la with la/mu a horizontal strip of exactly k cells,
+    canonical order.
+
+    Row i keeps between la[i+1] and la[i] cells, which makes la/mu a
+    horizontal strip and mu a partition.
+    """
+    out = [((), k)]
+    for i, part in enumerate(la):
+        below = la[i + 1] if i + 1 < len(la) else 0
+        out = [(mu + (v,), left - part + v) for mu, left in out
+               for v in range(max(below, part - left), part + 1)]
+    # rows were chosen in ascending lexicographic order within one size
+    return [tuple(x for x in mu if x) for mu, left in reversed(out) if not left]
 
 
 def format_partition(la):

@@ -7,16 +7,19 @@ stable Grothendieck series).  Products use the Littlewood-Richardson rule:
 _mul_pair grows one factor by horizontal strips of the other's content
 under the lattice-word condition, so its cost follows the size of the
 answer.  lr_coeff counts the lattice-word skew tableaux of one shape
-directly; it answers single-coefficient queries, feeds the coproduct and
-is the oracle the product is tested against.  The cached product and
-coproduct tables are read-only mappings.
+directly; it answers single-coefficient queries and is the oracle the
+product is tested against.  _skew is the skew Schur expansion
+s_{sigma/tau}: the Pieri rule for a one-row or one-column tau, lr_coeff
+otherwise.  The coproduct and the perps of operators are built from it.
+The cached tables and polynomials are read-only mappings.
 """
 
 from functools import cache
 from types import MappingProxyType
 
-from .partitions import (contains, partitions_up_to, size, sort_key,
-                         subpartitions, transpose)
+from .partitions import (contains, horizontal_strip_removals,
+                         partitions_up_to, size, sort_key, subpartitions,
+                         transpose)
 from .tpoly import (ONE, T, ZERO, LinComb, MultiPoly, TPoly, _coerce,
                     add_terms)
 
@@ -114,24 +117,38 @@ def _mul_pair(mu, nu):
 
 
 @cache
-def _coproduct_pairs(sigma):
-    """Coproduct of s_sigma as a read-only mapping (tau, rho) -> int.
+def _skew(sigma, tau):
+    """Skew Schur expansion s_{sigma/tau} = sum_rho c^sigma_{tau rho} s_rho
+    as a read-only mapping rho -> int; empty unless tau sits inside sigma.
 
-    Each tau inside sigma pairs with the rho inside sigma of the
-    complementary size; lr_coeff gives the coefficient.
+    A one-row tau takes the Pieri rule: the rho are the shapes left by
+    removing a horizontal strip of |tau| cells from sigma, each with
+    coefficient 1 (a one-column tau, vertical strips).  Any other tau
+    runs lr_coeff over the rho inside sigma of the complementary size.
     """
-    n = size(sigma)
-    subs = subpartitions(sigma)
-    by_size = {}
-    for rho in subs:
-        by_size.setdefault(size(rho), []).append(rho)
-    out = {}
-    for tau in subs:
-        for rho in by_size.get(n - size(tau), ()):
-            c = lr_coeff(sigma, tau, rho)
-            if c:
-                out[(tau, rho)] = c
+    if len(tau) <= 1:
+        out = dict.fromkeys(horizontal_strip_removals(sigma, size(tau)), 1)
+    elif tau[0] == 1:
+        out = {transpose(eta): 1
+               for eta in horizontal_strip_removals(transpose(sigma), len(tau))}
+    else:
+        m = size(sigma) - size(tau)
+        out = {}
+        for rho in subpartitions(sigma):
+            if size(rho) == m:
+                c = lr_coeff(sigma, tau, rho)
+                if c:
+                    out[rho] = c
     return MappingProxyType(out)
+
+
+@cache
+def _coproduct_pairs(sigma):
+    """Coproduct of s_sigma as a read-only mapping (tau, rho) -> int: the
+    skew expansion s_{sigma/tau} for every tau inside sigma.
+    """
+    return MappingProxyType({(tau, rho): k for tau in subpartitions(sigma)
+                             for rho, k in _skew(sigma, tau).items()})
 
 
 def _lr_terms(f, g, cap=None):
@@ -299,7 +316,7 @@ class TruncSeries(LinComb):
 
     def __add__(self, other):
         return TruncSeries(min(self.cap, other.cap),
-                           add_terms(dict(self.terms), other.terms.items()))
+                           add_terms(self.terms.copy(), other.terms.items()))
 
     def __eq__(self, other):
         return LinComb.__eq__(self, other) and self.cap == other.cap
@@ -316,7 +333,7 @@ def truncate(f, cap):
     """View a SymFunc as a TruncSeries with the given cap."""
     if f.degree() > cap:
         raise ValueError("degree %d exceeds cap %d" % (f.degree(), cap))
-    return TruncSeries(cap, dict(f.terms))
+    return TruncSeries(cap, f.terms)
 
 
 def series_mul(F, G):
@@ -386,9 +403,9 @@ def ssyt_poly(la, n):
     columns strictly increase, entries bounded by n.
     """
     if not la:
-        return {(0,) * n: 1}
+        return MappingProxyType({(0,) * n: 1})
     if len(la) > n:
-        return {}
+        return MappingProxyType({})
     frontier = {(): {(0,) * n: 1}}
     for width in la:
         nxt = {}
@@ -420,7 +437,7 @@ def ssyt_poly(la, n):
     for poly in frontier.values():
         for exp, c in poly.items():
             total[exp] = total.get(exp, 0) + c
-    return total
+    return MappingProxyType(total)
 
 
 def raw_is_symmetric(p, n):

@@ -9,6 +9,7 @@ symmetric generating functions in finitely many variables x_1..x_n.
 """
 
 from math import factorial
+from types import MappingProxyType
 
 
 class TPoly:
@@ -194,7 +195,9 @@ class LinComb:
     """Finite linear combination: a dict from keys to nonzero TPolys.
 
     Subclasses fix the key shape (_key) and any state beside the terms,
-    which _like copies.
+    which _like copies.  A cached, shared combination holds its terms in
+    a read-only view (frozen), so arithmetic copies terms with .copy(): a
+    plain dict(...) would walk the view key by key.
     """
 
     __slots__ = ("terms",)
@@ -215,11 +218,16 @@ class LinComb:
         out.terms = terms
         return out
 
+    def frozen(self):
+        """The same combination over a read-only view of its terms, for a
+        value that a cache hands to every caller."""
+        return self._like(MappingProxyType(self.terms))
+
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        return self._like(add_terms(dict(self.terms), other.terms.items()))
+        return self._like(add_terms(self.terms.copy(), other.terms.items()))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})

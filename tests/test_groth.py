@@ -214,6 +214,20 @@ def test_G_truncated_values():
         G_truncated((2, 1), 2)
 
 
+@pytest.mark.parametrize("table, args, key", [
+    (groth._elegant, ((3, 2, 1), 2), (9,)),
+    (groth._schur_in_g, ((2, 1),), (2,)),
+    (lambda *args: g_skew(*args).terms, ((2, 1), ()), (9,)),
+    (lambda *args: g_skew(*args).terms, ((3, 2), (1,)), (9,)),
+    (lambda *args: G_truncated(*args).terms, ((1,), 3), (9,)),
+], ids=["_elegant", "_schur_in_g", "g_skew", "g_skew-skew", "G_truncated"])
+def test_cached_values_are_read_only(table, args, key):
+    first = dict(table(*args))
+    with pytest.raises(TypeError):
+        table(*args)[key] = 5
+    assert dict(table(*args)) == first
+
+
 def test_G_duality_defining_property():
     G21 = G_truncated((2, 1), 5)
     for mu in partitions_up_to(5):

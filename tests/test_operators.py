@@ -7,9 +7,10 @@ from dualgroth.operators import (E_perp, H_perp, IncidenceFn, apply_operator,
                                  op_I_inv, perp, skew_pieri, telescoping_X,
                                  tilde_c, tilde_d)
 from dualgroth.partitions import (interval, is_rook_strip, mobius,
-                                  partitions_up_to, size, subpartitions)
+                                  partitions_of, partitions_up_to, size,
+                                  subpartitions)
 from dualgroth.schur import (E_series, H_series, SymFunc, TruncSeries, e_gen,
-                             h_gen, hall, p_gen, schur, series_mul)
+                             h_gen, hall, lr_coeff, p_gen, schur, series_mul)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO
 
 
@@ -73,6 +74,41 @@ def test_op_I_matches_interval_sum():
         for mu in subpartitions(la):
             expected = expected + g_to_schur(mu)
         assert op_I(g_to_schur(la)) == expected
+
+
+def test_op_I_pushed_size_interval_sum():
+    # the interval sum is built from elegant fillings, never from a perp
+    la = (6, 5, 4, 3, 2, 1)
+    total = SymFunc.zero()
+    for mu in subpartitions(la):
+        total = total + g_to_schur(mu)
+    assert op_I(g_to_schur(la)) == total
+    assert op_I_inv(total) == g_to_schur(la)
+
+
+def _coproduct_scan_perp(F, f):
+    """The perp through the whole coproduct: every tau inside sigma against
+    every partition of the rest, kept only when tau is in F."""
+    out = {}
+    for sigma, c in f.terms.items():
+        for tau in subpartitions(sigma):
+            if tau not in F.terms:
+                continue
+            for rho in partitions_of(size(sigma) - size(tau)):
+                k = lr_coeff(sigma, tau, rho)
+                if k:
+                    out[rho] = out.get(rho, ZERO) + c * F.terms[tau] * k
+    return SymFunc(out)
+
+
+def test_perp_matches_coproduct_scan_up_to_8():
+    for sigma in partitions_up_to(8):
+        f = schur(sigma)
+        n = size(sigma)
+        assert H_perp(T, f) == _coproduct_scan_perp(H_series(n), f)
+        assert E_perp(T, f) == _coproduct_scan_perp(E_series(n), f)
+        G = G_truncated((2, 1), max(n, 3))
+        assert perp(G, f) == _coproduct_scan_perp(G, f), sigma
 
 
 def test_op_I_inv_matches_rook_strip_sum():

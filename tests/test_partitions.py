@@ -2,7 +2,8 @@ import pytest
 
 from dualgroth.partitions import (a_statistic, as_partition, column_count,
                                   contains, format_partition, format_skew,
-                                  horizontal_strip_additions, interval,
+                                  horizontal_strip_additions,
+                                  horizontal_strip_removals, interval,
                                   is_horizontal_strip, is_rook_strip,
                                   is_vertical_strip, mobius, parse_partition,
                                   partitions_of, partitions_up_to, size,
@@ -136,6 +137,14 @@ def test_vertical_strip_removals_match_bruteforce():
         got = vertical_strip_removals(nu)
         brute = [eta for eta in subpartitions(nu) if is_vertical_strip(nu, eta)]
         assert got == sorted(brute, key=sort_key)
+
+
+def test_horizontal_strip_removals_match_bruteforce():
+    for la in partitions_up_to(7):
+        for k in range(size(la) + 2):
+            brute = [mu for mu in subpartitions(la)
+                     if size(mu) == size(la) - k and is_horizontal_strip(la, mu)]
+            assert horizontal_strip_removals(la, k) == brute
 
 
 def test_rook_strip_is_mobius_support():

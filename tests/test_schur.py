@@ -7,11 +7,11 @@ from dualgroth.partitions import (contains, horizontal_strip_additions,
                                   partitions_of, partitions_up_to, size,
                                   subpartitions, transpose)
 from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
-                             TruncSeries, _coproduct_pairs, _mul_pair,
+                             TruncSeries, _coproduct_pairs, _mul_pair, _skew,
                              antipode, coproduct, counit, e_gen,
                              from_polynomial, h_gen, hall, is_group_like,
                              lr_coeff, p_gen, phi_t, schur, series_mul,
-                             to_polynomial, truncate)
+                             ssyt_poly, to_polynomial, truncate)
 from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO
 
 
@@ -88,9 +88,23 @@ def test_coproduct_pairs_match_scan_up_to_8():
         assert dict(_coproduct_pairs(sigma)) == want
 
 
+def test_skew_matches_lr_scan_up_to_8():
+    # oracle: lr_coeff on every partition of the complementary size; the
+    # one-row and one-column tau take the Pieri path, the rest lr_coeff
+    for sigma in partitions_up_to(8):
+        for tau in subpartitions(sigma):
+            scan = {rho: lr_coeff(sigma, tau, rho)
+                    for rho in partitions_of(size(sigma) - size(tau))}
+            assert dict(_skew(sigma, tau)) == {rho: c for rho, c in scan.items() if c}
+    assert not _skew((2, 1), (3,)) and not _skew((2, 1), (1, 1, 1))
+
+
 @pytest.mark.parametrize("table, args, key", [
     (_mul_pair, ((2, 1), (2,)), (4, 1)),
     (_coproduct_pairs, ((2, 1),), ((1,), (1, 1))),
+    (_skew, ((3, 2, 1), (2,)), (2, 2)),
+    (_skew, ((3, 2, 1), (2, 1)), (3,)),
+    (ssyt_poly, ((1,), 2), (1, 0)),
 ])
 def test_cached_tables_are_read_only(table, args, key):
     first = dict(table(*args))
