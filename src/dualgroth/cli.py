@@ -189,6 +189,9 @@ def main(argv=None):
     except (ExprError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except RecursionError:  # the tableau kernels recurse once per row
+        sys.stderr.write("error: input too large for the recursion limit\n")
+        return 2
 
 
 if __name__ == "__main__":

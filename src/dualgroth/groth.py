@@ -7,9 +7,9 @@ containing the entry i.  That column-counting weight is what makes g
 inhomogeneous.  A straight g_la is built directly in the Schur basis
 from elegant fillings (Lam-Pylyavskyy, arXiv:0705.2189, Thm 9.8); a
 skew g is the reverse-plane-partition sum, evaluated by a column
-transfer and lifted to the Schur basis.  The series G_la is obtained
-from the duality (G_la, g_mu) = delta via a triangular solve against
-the g-to-Schur transition.
+transfer and lifted to the Schur basis.  The inverse side, s -> g and
+the series G_la dual to g, reads the rows and the columns of one table of
+strict elegant fillings (Lenart, Ann. Comb. 4 (2000), Thm 2.2).
 """
 
 from functools import cache
@@ -164,6 +164,26 @@ def _elegant(nu, k):
 
 
 @cache
+def _strict(nu, k):
+    """{la: (-1)^{|nu/la|} N} (read-only), N the number of strict elegant
+    fillings of nu/la with entries <= k: elegant fillings that increase
+    strictly along rows too.  Their entries equal to k are removable corners
+    of nu in rows k+1, ...; peeling them leaves every later row i between
+    max(nu[i+1], nu[i]-1) and nu[i], each peeled cell flipping the sign.
+    """
+    if k <= 0:
+        return MappingProxyType({nu: 1})
+    tail = nu[k:]
+    acc = {}
+    for rows in product(*(range(max(lo, hi - 1), hi + 1)
+                           for hi, lo in zip(tail, tail[1:] + (0,)))):
+        rho = nu[:k] + tuple(r for r in rows if r)
+        sign = -1 if (size(tail) - sum(rows)) % 2 else 1
+        add_terms(acc, ((la, sign * c) for la, c in _strict(rho, k - 1).items()))
+    return MappingProxyType(acc)
+
+
+@cache
 def g_skew(outer, inner=()):
     """The dual stable Grothendieck polynomial of outer/inner as a SymFunc.
 
@@ -198,58 +218,33 @@ def g_to_schur(la):
     return g_skew(tuple(la), ())
 
 
-@cache
-def _schur_in_g(sigma):
-    """g-basis expansion of the single Schur function s_sigma (read-only)."""
-    row = {sigma: 1}
-    for tau, c in g_to_schur(sigma).terms.items():
-        if tau == sigma:
-            continue
-        ci = c.as_int()
-        add_terms(row, ((ka, -ci * kc) for ka, kc in _schur_in_g(tau).items()))
-    return MappingProxyType(row)
-
-
 def schur_to_g(f):
     """Expand a SymFunc over the g basis; returns {partition: TPoly}.
 
-    Total on the ring: the transition from g to Schur is unitriangular by
-    degree, so the inverse is applied degree by degree.
+    s_sigma = sum_la (-1)^{|sigma/la|} N_{la,sigma} g_la (Lenart): one row
+    of _strict per term, summed as integers per distinct coefficient of f.
     """
-    return add_terms({}, ((la, c * k) for sigma, c in f.terms.items()
-                          for la, k in _schur_in_g(sigma).items()))
-
-
-def g_expansion_to_symfunc(expansion):
-    """Inverse of schur_to_g: rebuild the SymFunc from g-basis coefficients."""
-    return SymFunc(add_terms({}, ((mu, c * k) for la, c in expansion.items()
-                                  for mu, k in g_to_schur(la).terms.items())))
+    rows = {}
+    for sigma, c in f.terms.items():
+        add_terms(rows.setdefault(c, {}), _strict(sigma, len(sigma) - 1).items())
+    return add_terms({}, ((la, c * k) for c, row in rows.items()
+                          for la, k in row.items()))
 
 
 @cache
 def G_truncated(la, N):
     """The stable Grothendieck series G_la, truncated at degree N.
 
-    The unique Schur expansion supported in degrees |la|..N pairing to
-    delta_{la,mu} against every g_mu with |mu| <= N; its lowest component
-    is s_la and its support sits on partitions containing la.  Its terms
-    are a read-only mapping.
+    G_la = sum_mu (-1)^{|mu/la|} N_{la,mu} s_mu (Lenart): the la column of
+    _strict over every mu containing la.  Its terms are a read-only mapping.
     """
     la = tuple(la)
     if N < size(la):
         raise ValueError("cap %d is below |la| = %d" % (N, size(la)))
-    coeffs = {la: 1}
-    for m in range(size(la) + 1, N + 1):
-        for sigma in partitions_of_containing(m, la):
-            gs = g_to_schur(sigma)
-            val = 0
-            for tau, a in coeffs.items():
-                c = gs.coeff(tau)
-                if not c.is_zero():
-                    val -= a * c.as_int()
-            if val:
-                coeffs[sigma] = val
-    return TruncSeries(N, coeffs).frozen()
+    column = ((mu, _strict(mu, len(mu) - 1).get(la))
+              for m in range(size(la), N + 1)
+              for mu in partitions_of_containing(m, la))
+    return TruncSeries(N, {mu: c for mu, c in column if c}).frozen()
 
 
 def c_coeff(la, mu, nu):

@@ -70,7 +70,7 @@ def apply_operator(name, f, t_param=None, mu=None):
         if mu is None:
             raise ValueError("Gperp needs the partition mu")
         mu = tuple(mu)
-        # below its degree G_mu^perp is zero: cap at |mu| so the solve exists
+        # below its degree G_mu^perp is zero; G_mu needs a cap of at least |mu|
         return perp(G_truncated(mu, max(f.degree(), size(mu))), f)
     raise ValueError("unknown operator %r" % name)
 

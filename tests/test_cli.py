@@ -71,6 +71,10 @@ def test_staircase_g_expands(capsys):
     code, lines = run_cli(capsys, "inner", "--series", "H", "--t", "1",
                           "g[6,5,4,3,2,1]")
     assert code == 0 and lines == [{"value": "1"}]
+    code, lines = run_cli(capsys, "expand", "--to", "g", "g[7,6,5,4,3,2,1]")
+    assert code == 0
+    assert lines == [{"basis": "g", "terms": [
+        {"partition": [7, 6, 5, 4, 3, 2, 1], "coeff": "1"}]}]
 
 
 def test_inner_examples(capsys):
@@ -195,11 +199,11 @@ def _fresh_cli(*argv):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "dualgroth.cli", *argv],
                          capture_output=True, text=True, env=env)
-    return out.returncode, out.stdout
+    return out.returncode, out.stdout, out.stderr
 
 
 def test_console_entry_point():
-    code, out = _fresh_cli("inner", "--series", "H", "--t", "t", "g[2,2]")
+    code, out, _ = _fresh_cli("inner", "--series", "H", "--t", "t", "g[2,2]")
     assert code == 0
     assert json.loads(out) == {"value": "t^2"}
 
@@ -219,7 +223,7 @@ def test_reused_parser_matches_fresh_process(capsys):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-        assert (code, capsys.readouterr().out) == _fresh_cli(*argv)
+        assert (code, capsys.readouterr().out) == _fresh_cli(*argv)[:2]
     assert cli.build_parser() is cli.build_parser()
 
 
@@ -231,3 +235,15 @@ def test_large_row_product_is_pieri(capsys):
     terms = lines[0]["terms"]
     assert sorted((t["partition"], t["coeff"]) for t in terms) == sorted(
         ([120 - i, i] if i else [120], "1") for i in range(61))
+
+
+@pytest.mark.parametrize("expr, to", [
+    ("e1200", "g"),
+    ("g[%s]" % ",".join(["1"] * 1200), "s"),
+], ids=["e1200", "g-column-1200"])
+def test_too_many_rows_is_a_usage_error(expr, to):
+    # the tableau kernels recurse once per row; past the recursion limit the
+    # request is refused with exit 2, not a traceback
+    code, out, err = _fresh_cli("expand", "--to", to, expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input too large") and "Traceback" not in err

@@ -3,12 +3,12 @@ import pytest
 from dualgroth import groth
 from dualgroth.groth import (G_truncated, c_coeff, d_coeff, enumerate_rpp,
                              g_coproduct, g_skew, g_to_schur,
-                             g_expansion_to_symfunc, rpp_generating_poly,
-                             rpp_weight, schur_to_g)
-from dualgroth.partitions import contains, partitions_up_to, size, subpartitions
+                             rpp_generating_poly, rpp_weight, schur_to_g)
+from dualgroth.partitions import (contains, partitions_of_containing,
+                                  partitions_up_to, size, subpartitions)
 from dualgroth.schur import (SymFunc, TensorElem, hall, schur,
                              schur_expand_raw, raw_is_symmetric)
-from dualgroth.tpoly import ONE, ZERO
+from dualgroth.tpoly import ONE, ZERO, add_terms
 
 
 def as_int_dict(expansion):
@@ -154,7 +154,48 @@ def test_g_schur_round_trip():
     for la in partitions_up_to(6):
         f = g_to_schur(la)
         assert as_int_dict(schur_to_g(f)) == {la: 1}
-        assert g_expansion_to_symfunc(schur_to_g(schur(la))) == schur(la)
+        back = add_terms({}, ((mu, c * k)
+                              for nu, c in schur_to_g(schur(la)).items()
+                              for mu, k in g_to_schur(nu).terms.items()))
+        assert SymFunc(back) == schur(la)
+
+
+def _schur_in_g_by_recursion(sigma, memo):
+    # the former route: peel s_sigma off g_sigma and recurse on the lower
+    # Schur terms of g_sigma
+    if sigma not in memo:
+        row = {sigma: 1}
+        for tau, c in g_to_schur(sigma).terms.items():
+            if tau != sigma:
+                for la, k in _schur_in_g_by_recursion(tau, memo).items():
+                    row[la] = row.get(la, 0) - c.as_int() * k
+        memo[sigma] = {la: k for la, k in row.items() if k}
+    return memo[sigma]
+
+
+def test_schur_to_g_matches_recursion_through_g_up_to_9():
+    memo = {}
+    for sigma in partitions_up_to(9):
+        assert (as_int_dict(schur_to_g(schur(sigma)))
+                == _schur_in_g_by_recursion(sigma, memo)), sigma
+
+
+def _G_by_triangular_solve(la, N):
+    # the former route: solve (G_la, g_sigma) = delta degree by degree
+    coeffs = {la: 1}
+    for m in range(size(la) + 1, N + 1):
+        for sigma in partitions_of_containing(m, la):
+            gs = g_to_schur(sigma)
+            val = -sum(a * gs.coeff(tau).as_int() for tau, a in coeffs.items())
+            if val:
+                coeffs[sigma] = val
+    return coeffs
+
+
+def test_G_truncated_matches_triangular_solve_up_to_6():
+    for la in partitions_up_to(6):
+        assert (as_int_dict(G_truncated(la, 9).terms)
+                == _G_by_triangular_solve(la, 9)), la
 
 
 def test_c_coeff_examples():
@@ -216,11 +257,11 @@ def test_G_truncated_values():
 
 @pytest.mark.parametrize("table, args, key", [
     (groth._elegant, ((3, 2, 1), 2), (9,)),
-    (groth._schur_in_g, ((2, 1),), (2,)),
+    (groth._strict, ((2, 1), 1), (2,)),
     (lambda *args: g_skew(*args).terms, ((2, 1), ()), (9,)),
     (lambda *args: g_skew(*args).terms, ((3, 2), (1,)), (9,)),
     (lambda *args: G_truncated(*args).terms, ((1,), 3), (9,)),
-], ids=["_elegant", "_schur_in_g", "g_skew", "g_skew-skew", "G_truncated"])
+], ids=["_elegant", "_strict", "g_skew", "g_skew-skew", "G_truncated"])
 def test_cached_values_are_read_only(table, args, key):
     first = dict(table(*args))
     with pytest.raises(TypeError):
