@@ -20,7 +20,7 @@ from .partitions import (cells, contains, interval, partitions_of_containing,
                          size, transpose)
 from .schur import (SymFunc, TensorElem, TruncSeries, hall, raw_is_symmetric,
                     schur_expand_raw)
-from .tpoly import ZERO, add_terms
+from .tpoly import ZERO, add_terms, sum_rows
 
 
 def enumerate_rpp(outer, inner, max_entry):
@@ -227,8 +227,7 @@ def schur_to_g(f):
     rows = {}
     for sigma, c in f.terms.items():
         add_terms(rows.setdefault(c, {}), _strict(sigma, len(sigma) - 1).items())
-    return add_terms({}, ((la, c * k) for c, row in rows.items()
-                          for la, k in row.items()))
+    return sum_rows(rows)
 
 
 @cache

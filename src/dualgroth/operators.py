@@ -17,7 +17,8 @@ from .partitions import (a_statistic, column_count, contains,
                          is_vertical_strip, mobius, size, subpartitions,
                          transpose, vertical_strip_removals)
 from .schur import E_series, H_series, SymFunc, _skew
-from .tpoly import ONE, T, ZERO, TPoly, _coerce, add_terms, binomial_general
+from .tpoly import (ONE, T, ZERO, TPoly, _coerce, add_terms, binomial_general,
+                    sum_rows)
 
 
 def perp(F, f):
@@ -28,10 +29,12 @@ def perp(F, f):
     if F.cap < f.degree():
         raise ValueError("series cap %d is below the argument degree %d"
                          % (F.cap, f.degree()))
-    return SymFunc(add_terms({}, ((rho, c * a * k)
-                                  for sigma, c in f.terms.items()
-                                  for tau, a in F.terms.items() if contains(tau, sigma)
-                                  for rho, k in _skew(sigma, tau).items())))
+    rows = {}
+    for sigma, c in f.terms.items():
+        for tau, a in F.terms.items():
+            if contains(tau, sigma):
+                add_terms(rows.setdefault(c * a, {}), _skew(sigma, tau).items())
+    return f._like(sum_rows(rows))
 
 
 def H_perp(t_param, f):
@@ -228,9 +231,13 @@ def skew_pieri(k, mu, nu):
 
 
 def expand_skew_sum(formal):
-    """Evaluate a formal {(la, eta): int} sum into a SymFunc."""
-    return SymFunc(add_terms({}, ((mu, c * k) for (la, eta), c in formal.items()
-                                  for mu, k in g_skew(la, eta).terms.items())))
+    """Evaluate a formal {(la, eta): int} sum into a SymFunc: the integer
+    weights are summed per distinct Schur coefficient of the g_skew terms."""
+    rows = {}
+    for (la, eta), c in formal.items():
+        for mu, k in g_skew(la, eta).terms.items():
+            add_terms(rows.setdefault(k, {}), ((mu, c),))
+    return SymFunc()._like(sum_rows(rows))
 
 
 def tilde_c(la, mu, nu):

@@ -21,7 +21,7 @@ from .partitions import (contains, horizontal_strip_removals,
                          partitions_up_to, size, sort_key, subpartitions,
                          transpose)
 from .tpoly import (ONE, T, ZERO, LinComb, MultiPoly, TPoly, _coerce,
-                    add_terms)
+                    add_terms, sum_rows)
 
 
 @cache
@@ -151,18 +151,19 @@ def _coproduct_pairs(sigma):
                              for rho, k in _skew(sigma, tau).items()})
 
 
-def _lr_terms(f, g, cap=None):
-    """(la, coefficient) pairs of the Schur product of the term dicts f and
-    g, skipping the pairs of degree above cap when a cap is given.
+def _lr_rows(f, g, cap=None):
+    """The Schur product of the term dicts f and g as sum_rows rows: the
+    LR multiplicities of every pair (mu, nu) summed as ints under a * b,
+    skipping the pairs of degree above cap when a cap is given.
     """
+    rows = {}
     for mu, a in f.items():
         room = None if cap is None else cap - size(mu)
         for nu, b in g.items():
             if room is not None and size(nu) > room:
                 continue
-            ab = a * b
-            for la, k in _mul_pair(*sorted((mu, nu))).items():
-                yield la, ab * k
+            add_terms(rows.setdefault(a * b, {}), _mul_pair(*sorted((mu, nu))).items())
+    return rows
 
 
 class SymFunc(LinComb):
@@ -187,7 +188,7 @@ class SymFunc(LinComb):
     def __mul__(self, other):
         if isinstance(other, (int, TPoly)):
             return self.scale(other)
-        return self._like(add_terms({}, _lr_terms(self.terms, other.terms)))
+        return self._like(sum_rows(_lr_rows(self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -242,16 +243,15 @@ class TensorElem(LinComb):
 
     def __mul__(self, other):
         """Componentwise product (a (x) b)(c (x) d) = ac (x) bd, bilinearly."""
-        acc = {}
+        rows = {}
         for (m1, n1), c1 in self.terms.items():
             for (m2, n2), c2 in other.terms.items():
-                c = c1 * c2
                 left = _mul_pair(*sorted((m1, m2)))
                 right = _mul_pair(*sorted((n1, n2)))
-                add_terms(acc, (((lm, ln), c * (km * kn))
-                                for lm, km in left.items()
-                                for ln, kn in right.items()))
-        return self._like(acc)
+                add_terms(rows.setdefault(c1 * c2, {}),
+                          (((lm, ln), km * kn) for lm, km in left.items()
+                           for ln, kn in right.items()))
+        return self._like(sum_rows(rows))
 
     def swap(self):
         return self._like({(nu, mu): c for (mu, nu), c in self.terms.items()})
@@ -264,9 +264,10 @@ class TensorElem(LinComb):
 
 def coproduct(f):
     """Coproduct of f, linearly extended from the Schur rule."""
-    return TensorElem(add_terms({}, ((key, c * k)
-                                     for sigma, c in f.terms.items()
-                                     for key, k in _coproduct_pairs(sigma).items())))
+    rows = {}
+    for sigma, c in f.terms.items():
+        add_terms(rows.setdefault(c, {}), _coproduct_pairs(sigma).items())
+    return TensorElem()._like(sum_rows(rows))
 
 
 def antipode(f):
@@ -338,8 +339,8 @@ def truncate(f, cap):
 
 def series_mul(F, G):
     """Product of truncated series, truncated at the smaller cap."""
-    cap = min(F.cap, G.cap)
-    return TruncSeries(cap, add_terms({}, _lr_terms(F.terms, G.terms, cap)))
+    low = F if F.cap <= G.cap else G
+    return low._like(sum_rows(_lr_rows(F.terms, G.terms, low.cap)))
 
 
 def H_series(N, t_param=T):
@@ -477,9 +478,10 @@ def to_polynomial(f, n):
     """Evaluate a SymFunc in the variables x_1..x_n."""
     if n < 1:
         raise ValueError("need at least one variable")
-    acc = add_terms({}, ((exp, c * k) for la, c in f.terms.items()
-                         for exp, k in ssyt_poly(la, n).items()))
-    return MultiPoly(n, acc)
+    rows = {}
+    for la, c in f.terms.items():
+        add_terms(rows.setdefault(c, {}), ssyt_poly(la, n).items())
+    return MultiPoly(n)._like(sum_rows(rows))
 
 
 def from_polynomial(p):

@@ -2,10 +2,20 @@
 sparse linear-combination core, and multivariate polynomials over t.
 
 TPoly is the scalar ring of the whole package; coefficients are Python
-ints, so nothing ever overflows or rounds.  add_terms and LinComb hold
-every finite combination with TPoly coefficients: Schur expansions,
-truncated series, tensor-square elements and MultiPoly, which evaluates
-symmetric generating functions in finitely many variables x_1..x_n.
+ints, so nothing ever overflows or rounds.  Its arithmetic takes an int
+operand as it is, with no conversion to a TPoly, and builds every result
+through _mk, which wraps a tuple already in canonical form (no trailing
+zero): only a sum can cancel, so only addition strips, and a product of
+nonzero polynomials keeps a nonzero leading coefficient.
+
+add_terms and LinComb hold every finite combination with TPoly
+coefficients: Schur expansions, truncated series, tensor-square elements
+and MultiPoly, which evaluates symmetric generating functions in finitely
+many variables x_1..x_n.  A builder that scales integer tables (LR
+products, skew expansions, Schur polynomials) sums the tables as ints per
+distinct coefficient and hands the rows to sum_rows, the one place that
+multiplies them out: one TPoly product per (coefficient, key), not one per
+table entry.
 """
 
 from math import factorial
@@ -46,47 +56,84 @@ class TPoly:
         return self.coeffs[0] if self.coeffs else 0
 
     def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(tuple((self.coeffs[i] if i < len(self.coeffs) else 0)
-                           + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                           for i in range(n)))
+        a = self.coeffs
+        if isinstance(other, TPoly):
+            b = other.coeffs
+        elif isinstance(other, int):
+            b = (other,) if other else ()
+        else:
+            raise TypeError("cannot add %r to a TPoly" % (other,))
+        if len(a) == len(b) == 1:
+            s = a[0] + b[0]
+            return _mk((s,)) if s else ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(a) > len(b):
+            return _mk(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        # equal lengths: the leading terms may cancel
+        out = [x + y for x, y in zip(a, b)]
+        while out and not out[-1]:
+            out.pop()
+        return _mk(tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TPoly(tuple(-x for x in self.coeffs))
+        return _mk(tuple(-x for x in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return TPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return TPoly(tuple(out))
+        a = self.coeffs
+        if isinstance(other, TPoly):
+            b = other.coeffs
+        elif isinstance(other, int):
+            b = (other,) if other else ()
+        else:
+            raise TypeError("cannot multiply a TPoly by %r" % (other,))
+        if not a or not b:
+            return ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            k = b[0]
+            return _mk((a[0] * k,) if len(a) == 1 else tuple(x * k for x in a))
+        # nonzero leading coefficients multiply to a nonzero one: no strip
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _mk(tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        out = TPoly((1,))
-        for _ in range(n):
-            out = out * self
-        return out
+        a = self.coeffs
+        if not a:
+            return ZERO if n else ONE
+        d = len(a) - 1
+        if not any(a[:d]):
+            # a monomial c*t^d, constants included
+            return _mk((0,) * (d * n) + (a[d] ** n,))
+        out, base = ONE, self
+        while True:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = TPoly((other,))
+            return self.coeffs == ((other,) if other else ())
         return isinstance(other, TPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -101,9 +148,9 @@ class TPoly:
 
     def substitute(self, other):
         """Compose: replace t by another TPoly."""
-        out = TPoly()
+        out = ZERO
         for c in reversed(self.coeffs):
-            out = out * other + TPoly((c,))
+            out = out * other + c
         return out
 
     def text(self):
@@ -136,6 +183,17 @@ class TPoly:
         return self.text()
 
 
+_new = object.__new__
+
+
+def _mk(coeffs):
+    """The TPoly over coeffs, a tuple of ints already in canonical form
+    (empty, or ending in a nonzero int); no copy and no strip."""
+    p = _new(TPoly)
+    p.coeffs = coeffs
+    return p
+
+
 ZERO = TPoly()
 ONE = TPoly((1,))
 T = TPoly((0, 1))
@@ -145,7 +203,7 @@ def _coerce(x):
     if isinstance(x, TPoly):
         return x
     if isinstance(x, int):
-        return TPoly((x,))
+        return _mk((x,)) if x else ZERO
     raise TypeError("cannot coerce %r to TPoly" % (x,))
 
 
@@ -174,7 +232,8 @@ def add_terms(acc, pairs):
     """Add (key, coefficient) pairs into the dict acc and return it.
 
     Coefficients are ints or TPolys; a key whose coefficient cancels is
-    dropped, so acc never holds a zero.
+    dropped, so acc never holds a zero.  On int multiplicities it fills
+    the rows that sum_rows scales.
     """
     get = acc.get
     for key, c in pairs:
@@ -191,13 +250,27 @@ def add_terms(acc, pairs):
     return acc
 
 
+def sum_rows(rows):
+    """The dict sum over c of c * row, for rows {c: {key: int}} keyed by
+    nonzero TPolys; a key whose terms cancel is dropped.
+
+    Callers fill each row with add_terms on int multiplicities, one row
+    per distinct coefficient, so a key costs one TPoly product per row
+    that holds it.
+    """
+    return add_terms({}, ((key, c * k) for c, row in rows.items()
+                          for key, k in row.items()))
+
+
 class LinComb:
     """Finite linear combination: a dict from keys to nonzero TPolys.
 
-    Subclasses fix the key shape (_key) and any state beside the terms,
-    which _like copies.  A cached, shared combination holds its terms in
-    a read-only view (frozen), so arithmetic copies terms with .copy(): a
-    plain dict(...) would walk the view key by key.
+    The constructor checks keys and coerces coefficients; a builder whose
+    terms are already clean (from add_terms or sum_rows) wraps them with
+    _like instead.  Subclasses fix the key shape (_key) and any state
+    beside the terms, which _like copies.  A cached, shared combination
+    holds its terms in a read-only view (frozen), so arithmetic copies
+    terms with .copy(): a plain dict(...) would walk the view key by key.
     """
 
     __slots__ = ("terms",)

@@ -8,7 +8,7 @@ from dualgroth.partitions import (contains, partitions_of_containing,
                                   partitions_up_to, size, subpartitions)
 from dualgroth.schur import (SymFunc, TensorElem, hall, schur,
                              schur_expand_raw, raw_is_symmetric)
-from dualgroth.tpoly import ONE, ZERO, add_terms
+from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
 
 
 def as_int_dict(expansion):
@@ -284,3 +284,19 @@ def test_gate_rejects_asymmetric_input():
         schur_expand_raw({(1, 0): 1}, 2)
     assert raw_is_symmetric({(1, 0): 1, (0, 1): 1}, 2)
     assert not raw_is_symmetric({(1, 0): 1}, 2)
+
+
+def test_grouped_schur_to_g_matches_per_term_oracle():
+    # t s_mu - t s_nu and (1+t) s_mu - s_nu: distinct coefficients whose
+    # rows of _strict meet on shared g_la and cancel there
+    shapes = partitions_up_to(5)
+    for mu in shapes:
+        for nu in shapes:
+            for f in ((schur(mu) - schur(nu)).scale(T),
+                      schur(mu).scale(ONE + T) - schur(nu)):
+                want = add_terms({}, ((la, c * k) for sigma, c in f.terms.items()
+                                      for la, k in groth._strict(sigma, len(sigma) - 1).items()))
+                got = schur_to_g(f)
+                assert got == want, (mu, nu)
+                for c in got.values():
+                    assert type(c) is TPoly and c.coeffs and c.coeffs[-1] != 0

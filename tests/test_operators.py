@@ -6,12 +6,13 @@ from dualgroth.operators import (E_perp, H_perp, IncidenceFn, apply_operator,
                                  inc_it, inc_jt, inc_mobius, inc_zeta, op_I,
                                  op_I_inv, perp, skew_pieri, telescoping_X,
                                  tilde_c, tilde_d)
-from dualgroth.partitions import (interval, is_rook_strip, mobius,
+from dualgroth.partitions import (contains, interval, is_rook_strip, mobius,
                                   partitions_of, partitions_up_to, size,
                                   subpartitions)
-from dualgroth.schur import (E_series, H_series, SymFunc, TruncSeries, e_gen,
-                             h_gen, hall, lr_coeff, p_gen, schur, series_mul)
-from dualgroth.tpoly import ONE, T, TPoly, ZERO
+from dualgroth.schur import (E_series, H_series, SymFunc, TruncSeries, _skew,
+                             e_gen, h_gen, hall, lr_coeff, p_gen, schur,
+                             series_mul)
+from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
 
 
 def as_int_dict(expansion):
@@ -284,3 +285,42 @@ def test_functional_equality_and_series_mul_cap():
     G = H_series(4, 1)
     assert F == G
     assert series_mul(F, E_series(2, -1)).cap == 2
+
+
+def assert_same_terms(got, want):
+    assert got == want
+    for c in got.values():
+        assert type(c) is TPoly and c.coeffs and c.coeffs[-1] != 0
+
+
+def _perp_per_term(F, f):
+    # perp with one TPoly product per skew-table entry
+    return add_terms({}, ((rho, c * a * k) for sigma, c in f.terms.items()
+                          for tau, a in F.terms.items() if contains(tau, sigma)
+                          for rho, k in _skew(sigma, tau).items()))
+
+
+def test_grouped_perp_matches_per_term_oracle():
+    # t s_mu - t s_nu: the rows c*a = +-t*F_tau meet on the shapes both
+    # skews reach and cancel there
+    shapes = partitions_up_to(5)
+    series = [H_series(5, v) for v in (T, -1, 2)]
+    series += [E_series(5, v) for v in (T, -1, 2)]
+    series.append(G_truncated((2, 1), 5))
+    for mu in shapes:
+        for nu in shapes:
+            f = (schur(mu) - schur(nu)).scale(T)
+            for F in series:
+                got = perp(F, f)
+                assert type(got) is SymFunc
+                assert_same_terms(got.terms, _perp_per_term(F, f))
+
+
+def test_grouped_skew_sum_matches_per_term_oracle():
+    for mu in partitions_up_to(4):
+        for nu in subpartitions(mu):
+            for k in range(4):
+                formal = skew_pieri(k, mu, nu)
+                want = add_terms({}, ((rho, c * a) for (la, eta), c in formal.items()
+                                      for rho, a in g_skew(la, eta).terms.items()))
+                assert_same_terms(expand_skew_sum(formal).terms, want)

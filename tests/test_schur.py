@@ -12,7 +12,7 @@ from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
                              from_polynomial, h_gen, hall, is_group_like,
                              lr_coeff, p_gen, phi_t, schur, series_mul,
                              ssyt_poly, to_polynomial, truncate)
-from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO
+from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO, add_terms
 
 
 def random_symfunc(rng, max_deg, nterms=3, with_t=False):
@@ -338,3 +338,84 @@ def test_series_scale_and_coeff():
     F = H_series(3).scale(T)
     assert F.coeff((2,)) == T ** 3
     assert F.coeff((1, 1)) == ZERO
+
+
+# Per-term oracles for the builders that group integer multiplicities per
+# distinct coefficient (tpoly.sum_rows): the same sums with one TPoly
+# product per table entry.
+
+def _lr_terms_per_term(f, g, cap=None):
+    for mu, a in f.items():
+        room = None if cap is None else cap - size(mu)
+        for nu, b in g.items():
+            if room is not None and size(nu) > room:
+                continue
+            for la, k in _mul_pair(*sorted((mu, nu))).items():
+                yield la, a * b * k
+
+
+def assert_same_terms(got, want):
+    assert got == want
+    for c in got.values():
+        assert type(c) is TPoly and c.coeffs and c.coeffs[-1] != 0
+
+
+def cancelling_pairs(max_size):
+    """(t s_mu - t s_nu, s_(1) + t s_(1)) for every pair of shapes up to
+    max_size: the rows t(1+t) and -t(1+t) meet, and cancel, on every shape
+    that both s_mu s_(1) and s_nu s_(1) reach."""
+    g = schur((1,)) + schur((1,)).scale(T)
+    for mu in partitions_up_to(max_size):
+        for nu in partitions_up_to(max_size):
+            yield (schur(mu) - schur(nu)).scale(T), g
+
+
+def test_grouped_product_matches_per_term_oracle():
+    f = (schur((2,)) - schur((1, 1))).scale(T)
+    g = schur((1,)) + schur((1,)).scale(T)
+    got = (f * g).terms
+    assert got == {(3,): T * (ONE + T), (1, 1, 1): -T * (ONE + T)}
+    rng = random.Random(23)
+    pairs = list(cancelling_pairs(5))
+    pairs += [(random_symfunc(rng, 4, 4, True), random_symfunc(rng, 4, 4, True))
+              for _ in range(40)]
+    for f, g in pairs:
+        assert_same_terms((f * g).terms, add_terms({}, _lr_terms_per_term(f.terms, g.terms)))
+        want = add_terms({}, ((key, c * k) for sigma, c in f.terms.items()
+                              for key, k in _coproduct_pairs(sigma).items()))
+        assert_same_terms(coproduct(f).terms, want)
+    for f, g in pairs[::25]:
+        left, right = coproduct(f), coproduct(g)
+        want = {}
+        for (m1, n1), c1 in left.terms.items():
+            for (m2, n2), c2 in right.terms.items():
+                add_terms(want, (((lm, ln), c1 * c2 * (km * kn))
+                                 for lm, km in _mul_pair(*sorted((m1, m2))).items()
+                                 for ln, kn in _mul_pair(*sorted((n1, n2))).items()))
+        assert_same_terms((left * right).terms, want)
+
+
+def test_grouped_series_product_matches_per_term_oracle():
+    rng = random.Random(29)
+    cases = [(H_series(6, v), E_series(6, -v)) for v in (T, -1, 2)]
+    cases += [(TruncSeries(6, random_symfunc(rng, 5, 4, True).terms),
+               TruncSeries(rng.randint(3, 7), random_symfunc(rng, 5, 4, True).terms))
+              for _ in range(30)]
+    for F, G in cases:
+        cap = min(F.cap, G.cap)
+        got = series_mul(F, G)
+        assert got.cap == cap
+        assert_same_terms(got.terms, add_terms({}, _lr_terms_per_term(F.terms, G.terms, cap)))
+    # H(v) E(-v) = 1: every term above degree 0 cancels across the rows
+    for F, G in cases[:3]:
+        assert series_mul(F, G).terms == {(): ONE}
+
+
+def test_grouped_to_polynomial_matches_per_term_oracle():
+    for f, _ in cancelling_pairs(4):
+        for n in (1, 3):
+            want = add_terms({}, ((exp, c * k) for la, c in f.terms.items()
+                                  for exp, k in ssyt_poly(la, n).items()))
+            got = to_polynomial(f, n)
+            assert got.nvars == n
+            assert_same_terms(got.terms, want)

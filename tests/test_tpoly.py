@@ -152,3 +152,94 @@ def test_mpoly_nvars_mismatch():
             op(MultiPoly.variable(2, 0), MultiPoly.variable(3, 0))
     with pytest.raises(ValueError):
         MultiPoly(2, {(1,): 1})
+
+
+# Dense reference for the scalar fast paths: plain lists of ints, stripped
+# of trailing zeros only at the end.
+
+def _dense(x):
+    return [x] if isinstance(x, int) else list(x.coeffs)
+
+
+def _strip(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _dense_add(a, b):
+    n = max(len(a), len(b))
+    return _strip((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                  for i in range(n))
+
+
+def _dense_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def _assert_canonical(r, dense):
+    """r is the TPoly of the dense list, in canonical form."""
+    assert type(r) is TPoly
+    assert all(type(x) is int for x in r.coeffs)
+    assert list(r.coeffs) == dense
+    assert not r.coeffs or r.coeffs[-1] != 0
+    assert bool(r) == bool(dense)
+    if not r:
+        assert r.coeffs == () and r == ZERO and r == 0
+    built = TPoly(tuple(dense))
+    assert r == built and hash(r) == hash(built)
+
+
+def test_scalar_fast_paths_match_dense_reference():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    small = st.integers(-6, 6)
+    polys = st.one_of(
+        st.lists(small, max_size=6).map(lambda c: TPoly(tuple(c))),
+        st.tuples(small, st.integers(0, 4)).map(       # monomials c*t^d
+            lambda cd: TPoly((0,) * cd[1] + (cd[0],))))
+    operands = st.one_of(small, polys)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(polys, operands, st.sampled_from(("free", "neg", "same")))
+    @example(T, 0, "neg")                               # t + (-t)
+    @example(T + ONE, 0, "same")                        # (t+1) - (t+1)
+    @example(ONE, -1, "free")
+    @example(ZERO, 0, "free")
+    def check_binary(a, b, relation):
+        if relation == "neg":
+            b = -a
+        elif relation == "same":
+            b = a
+        da, db = _dense(a), _dense(b)
+        neg_b = [-x for x in db]
+        neg_a = [-x for x in da]
+        _assert_canonical(a + b, _dense_add(da, db))
+        _assert_canonical(b + a, _dense_add(db, da))
+        _assert_canonical(a - b, _dense_add(da, neg_b))
+        _assert_canonical(b - a, _dense_add(db, neg_a))
+        _assert_canonical(-a, _strip(neg_a))
+        _assert_canonical(a * b, _dense_mul(da, db))
+        _assert_canonical(b * a, _dense_mul(db, da))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(polys, st.integers(0, 12))
+    @example(ZERO, 0)
+    @example(ZERO, 3)
+    @example(T, 12)
+    @example(T - ONE, 5)
+    def check_pow(a, n):
+        want = [1]
+        for _ in range(n):
+            want = _dense_mul(want, _dense(a))
+        _assert_canonical(a ** n, _strip(want))
+
+    check_binary()
+    check_pow()
+    assert ZERO ** 0 == ONE
