@@ -9,7 +9,7 @@ form returns the identical syntax tree.
 import re
 
 from .groth import G_truncated, g_skew
-from .partitions import as_partition
+from .partitions import as_partition, format_partition
 from .schur import SymFunc, TruncSeries, e_gen, h_gen, p_gen, schur, series_mul, truncate
 from .tpoly import T, TPoly
 
@@ -135,10 +135,6 @@ def parse_expr(text):
     return node
 
 
-def _part_text(la):
-    return "[" + ",".join(str(x) for x in la) + "]"
-
-
 # precedence: additive 1, multiplicative and unary minus 2, atoms 3
 def format_expr(node, parent_prec=0):
     kind = node[0]
@@ -147,13 +143,13 @@ def format_expr(node, parent_prec=0):
     if kind == "t":
         return "t"
     if kind == "s":
-        return "s" + _part_text(node[1])
+        return "s" + format_partition(node[1])
     if kind == "G":
-        return "G" + _part_text(node[1])
+        return "G" + format_partition(node[1])
     if kind == "g":
-        text = "g" + _part_text(node[1])
+        text = "g" + format_partition(node[1])
         if node[2]:
-            text += "/" + _part_text(node[2])
+            text += "/" + format_partition(node[2])
         return text
     if kind in ("h", "e", "p"):
         return "%s%d" % (kind, node[1])
@@ -234,7 +230,7 @@ def eval_expr(node, cap=None):
         if cap is None:
             raise ExprError("expressions with G atoms need an explicit cap")
         if cap < sum(node[1]):
-            raise ExprError("cap %d is below |%s|" % (cap, _part_text(node[1])))
+            raise ExprError("cap %d is below |%s|" % (cap, format_partition(node[1])))
         return G_truncated(node[1], cap)
     if kind == "neg":
         return -eval_expr(node[1], cap)

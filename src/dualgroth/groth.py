@@ -259,11 +259,13 @@ def d_coeff(la, mu, nu):
     """Coefficient of g_la in the product g_mu g_nu (an integer).
 
     Computed as the Hall pairing of the product against G_la, which picks
-    out exactly that coefficient by duality.
+    out exactly that coefficient by duality.  Zero unless mu and nu sit
+    inside la: the coproduct of G_la is supported on such pairs (Buch,
+    Acta Math. 189 (2002)).
     """
     la, mu, nu = tuple(la), tuple(mu), tuple(nu)
     cap = size(mu) + size(nu)
-    if size(la) > cap:
+    if size(la) > cap or not contains(mu, la) or not contains(nu, la):
         return 0
     f = g_to_schur(mu) * g_to_schur(nu)
     return hall(G_truncated(la, cap), f).as_int()

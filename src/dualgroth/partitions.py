@@ -114,20 +114,12 @@ def interval(mu, la):
     if not contains(mu, la):
         raise ValueError("interval undefined: %s not contained in %s"
                          % (format_partition(mu), format_partition(la)))
-    out = []
-
-    def build(row, prev, acc):
-        if row == len(la):
-            out.append(tuple(x for x in acc if x > 0))
-            return
-        lo = mu[row] if row < len(mu) else 0
-        hi = min(la[row], prev)
-        for v in range(lo, hi + 1):
-            build(row + 1, v, acc + [v])
-
-    build(0, la[0] if la else 0, [])
-    out.sort(key=sort_key)
-    return out
+    out = [()]
+    for i, part in enumerate(la):
+        lo = mu[i] if i < len(mu) else 0
+        out = [nu + (v,) for nu in out
+               for v in range(lo, min(part, nu[-1] if nu else part) + 1)]
+    return sorted((tuple(x for x in nu if x) for nu in out), key=sort_key)
 
 
 @cache
@@ -195,49 +187,32 @@ def partitions_of_containing(n, la):
 
 
 def horizontal_strip_additions(mu, k):
-    """All la obtained from mu by adding a horizontal strip of exactly k cells."""
-    out = []
-    n = len(mu)
+    """All la obtained from mu by adding a horizontal strip of exactly k cells,
+    canonical order.
 
-    def build(r, left, acc):
-        if r == n + 1:
-            if left == 0:
-                out.append(tuple(x for x in acc if x > 0))
-            return
-        base = mu[r] if r < n else 0
-        hi = base + left
-        if r >= 1:
-            hi = min(hi, mu[r - 1])  # at most one new cell per column
-        for v in range(base, hi + 1):
-            build(r + 1, left - (v - base), acc + [v])
-
-    build(0, k, [])
-    return sorted(set(out), key=sort_key)
+    Row i grows from mu[i] to at most mu[i-1] (row 0 by up to k), which
+    makes la/mu a horizontal strip and la a partition.
+    """
+    out = [((), k)]
+    for i, part in enumerate(mu + (0,)):
+        above = mu[i - 1] if i else part + k
+        out = [(la + (v,), left - v + part) for la, left in out
+               for v in range(part, min(above, part + left) + 1)]
+    # rows were chosen in ascending lexicographic order within one size
+    return [tuple(x for x in la if x) for la, left in reversed(out) if not left]
 
 
 def vertical_strip_additions(la, k):
     """All mu obtained from la by adding a vertical strip of exactly k cells."""
-    return sorted({transpose(m) for m in horizontal_strip_additions(transpose(la), k)},
+    return sorted([transpose(m) for m in horizontal_strip_additions(transpose(la), k)],
                   key=sort_key)
 
 
 def vertical_strip_removals(nu):
     """All eta inside nu with nu/eta a vertical strip, canonical order."""
-    out = []
-
-    def build(row, acc):
-        if row == len(nu):
-            out.append(tuple(x for x in acc if x > 0))
-            return
-        for v in (nu[row], nu[row] - 1):
-            if v < 0:
-                continue
-            if acc and v > acc[-1]:
-                continue
-            build(row + 1, acc + [v])
-
-    build(0, [])
-    return sorted(set(out), key=sort_key)
+    nut = transpose(nu)
+    return sorted([transpose(eta) for k in range(len(nu) + 1)
+                   for eta in horizontal_strip_removals(nut, k)], key=sort_key)
 
 
 def horizontal_strip_removals(la, k):

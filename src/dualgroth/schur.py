@@ -11,6 +11,9 @@ directly; it answers single-coefficient queries and is the oracle the
 product is tested against.  _skew is the skew Schur expansion
 s_{sigma/tau}: the Pieri rule for a one-row or one-column tau, lr_coeff
 otherwise.  The coproduct and the perps of operators are built from it.
+ssyt_poly evaluates s_la in n variables by the branching rule, peeling
+the horizontal strip of entries n; it serves to_polynomial and the lift
+of a symmetric polynomial back to the Schur basis.
 The cached tables and polynomials are read-only mappings.
 """
 
@@ -400,45 +403,20 @@ def hall(F, f):
 def ssyt_poly(la, n):
     """Schur polynomial s_la(x_1..x_n) as a raw int dict (read-only).
 
-    Row-transfer sum over semistandard tableaux: rows weakly increase,
-    columns strictly increase, entries bounded by n.
+    Branching rule (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.5): the entries n of a semistandard tableau form a horizontal strip
+    la/mu, so s_la(x_1..x_n) = sum over such mu of s_mu(x_1..x_{n-1})
+    x_n^|la/mu|.
     """
     if not la:
         return MappingProxyType({(0,) * n: 1})
     if len(la) > n:
         return MappingProxyType({})
-    frontier = {(): {(0,) * n: 1}}
-    for width in la:
-        nxt = {}
-        for prev, poly in frontier.items():
-            rows = []
-
-            def build(c, lastv, acc):
-                if c == width:
-                    rows.append(tuple(acc))
-                    return
-                lo = lastv
-                if c < len(prev):
-                    lo = max(lo, prev[c] + 1)
-                for v in range(lo, n + 1):
-                    build(c + 1, v, acc + [v])
-
-            build(0, 1, [])
-            for row in rows:
-                mono = [0] * n
-                for v in row:
-                    mono[v - 1] += 1
-                mono = tuple(mono)
-                tgt = nxt.setdefault(row, {})
-                for exp, c in poly.items():
-                    key = tuple(a + b for a, b in zip(exp, mono))
-                    tgt[key] = tgt.get(key, 0) + c
-        frontier = nxt
-    total = {}
-    for poly in frontier.values():
-        for exp, c in poly.items():
-            total[exp] = total.get(exp, 0) + c
-    return MappingProxyType(total)
+    out = {}
+    for k in range(size(la) + 1):
+        for mu in horizontal_strip_removals(la, k):
+            add_terms(out, ((e + (k,), c) for e, c in ssyt_poly(mu, n - 1).items()))
+    return MappingProxyType(out)
 
 
 def raw_is_symmetric(p, n):

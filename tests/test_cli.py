@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -96,6 +97,15 @@ def test_constants(capsys):
     code, lines = run_cli(capsys, "constants", "--family", "lr",
                           "--lambda", "[2]", "--mu", "[1]", "--nu", "[1]")
     assert lines[0]["value"] == 1
+    # mu outside la: d is 0 without building G_la up to degree 31
+    start = time.monotonic()
+    code, lines = run_cli(capsys, "constants", "--family", "dtilde",
+                          "--lambda", "[2]", "--mu", "[30]", "--nu", "[1]")
+    assert code == 0 and lines[0]["value"] == 1
+    code, lines = run_cli(capsys, "constants", "--family", "d",
+                          "--lambda", "[2]", "--mu", "[30]", "--nu", "[1]")
+    assert code == 0 and lines[0]["value"] == 0
+    assert time.monotonic() - start < 10
 
 
 def test_expand_series_and_errors(capsys):

@@ -227,6 +227,20 @@ def test_d_coeff_agrees_with_expansion_route():
                 assert d_coeff(la, mu, nu) == expansion.get(la, 0), (la, mu, nu)
 
 
+def test_d_coeff_matches_unshortened_pairing():
+    # the pairing against G_la, without the containment shortcut
+    ps = partitions_up_to(4)
+    for la in partitions_up_to(5):
+        for mu in ps:
+            for nu in ps:
+                cap = size(mu) + size(nu)
+                want = 0
+                if size(la) <= cap:
+                    want = hall(G_truncated(la, cap),
+                                g_to_schur(mu) * g_to_schur(nu)).as_int()
+                assert d_coeff(la, mu, nu) == want, (la, mu, nu)
+
+
 def test_d_sum_rule_small():
     for mu in partitions_up_to(4):
         for nu in partitions_up_to(4):

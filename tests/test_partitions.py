@@ -80,7 +80,7 @@ def test_interval_examples():
 
 
 def test_interval_matches_bruteforce():
-    for la in partitions_up_to(6):
+    for la in partitions_up_to(7):
         for mu in subpartitions(la):
             got = interval(mu, la)
             brute = [nu for nu in partitions_up_to(size(la))
@@ -120,8 +120,8 @@ def test_partitions_up_to_counts_and_order():
 
 
 def test_strip_addition_helpers_match_bruteforce():
-    for mu in partitions_up_to(4):
-        for k in range(4):
+    for mu in partitions_up_to(6):
+        for k in range(6):
             horiz = horizontal_strip_additions(mu, k)
             vert = vertical_strip_additions(mu, k)
             brute_h = [la for la in partitions_of(size(mu) + k)
@@ -133,7 +133,7 @@ def test_strip_addition_helpers_match_bruteforce():
 
 
 def test_vertical_strip_removals_match_bruteforce():
-    for nu in partitions_up_to(5):
+    for nu in partitions_up_to(7):
         got = vertical_strip_removals(nu)
         brute = [eta for eta in subpartitions(nu) if is_vertical_strip(nu, eta)]
         assert got == sorted(brute, key=sort_key)

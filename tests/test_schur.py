@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from types import ModuleType
 
 import pytest
@@ -419,3 +420,28 @@ def test_grouped_to_polynomial_matches_per_term_oracle():
             got = to_polynomial(f, n)
             assert got.nvars == n
             assert_same_terms(got.terms, want)
+
+
+def _ssyt_brute(la, n):
+    """s_la(x_1..x_n) from every filling of la with entries 1..n that
+    weakly increases along rows and strictly down columns."""
+    cells = [(r, c) for r, w in enumerate(la) for c in range(w)]
+    out = {}
+    for values in product(range(n), repeat=len(cells)):
+        t = dict(zip(cells, values))
+        if all((not c or t[r, c - 1] <= v) and (not r or t[r - 1, c] < v)
+               for (r, c), v in t.items()):
+            exp = [0] * n
+            for v in values:
+                exp[v] += 1
+            out[tuple(exp)] = out.get(tuple(exp), 0) + 1
+    return out
+
+
+def test_ssyt_poly_matches_tableau_enumeration():
+    pairs = [(la, n) for la in partitions_up_to(6) for n in range(1, 5)]
+    assert len(pairs) == 120
+    for la, n in pairs:
+        want = _ssyt_brute(la, n)
+        assert dict(ssyt_poly(la, n)) == want, (la, n)
+        assert (want == {}) == (len(la) > n)
