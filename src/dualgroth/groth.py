@@ -18,8 +18,7 @@ from types import MappingProxyType
 
 from .partitions import (cells, contains, interval, partitions_of_containing,
                          size, transpose)
-from .schur import (SymFunc, TensorElem, TruncSeries, hall, raw_is_symmetric,
-                    schur_expand_raw)
+from .schur import SymFunc, TensorElem, TruncSeries, hall, schur_expand_raw
 from .tpoly import ZERO, add_terms, sum_rows
 
 
@@ -192,7 +191,8 @@ def g_skew(outer, inner=()):
     la/mu.  A skew shape takes the generating polynomial in enough
     variables to see every Schur component (the expansion of g_{la/mu} is
     supported on subpartitions of la, so min(|la/mu|, rows of la)
-    variables suffice), checks that it is symmetric and lifts it.  The
+    variables suffice) and lifts it; the lift raises ValueError if that
+    polynomial is not symmetric, so it is the one symmetry check.  The
     result is cached and shared, so its terms are a read-only mapping.
     """
     outer, inner = tuple(outer), tuple(inner)
@@ -205,11 +205,7 @@ def g_skew(outer, inner=()):
         f = SymFunc(_elegant(outer, len(outer) - 1))
     else:
         n = max(1, min(ncells, len(outer)))
-        raw = rpp_generating_poly(outer, inner, n)
-        if not raw_is_symmetric(raw, n):
-            raise RuntimeError("generating polynomial of %r/%r is not symmetric"
-                               % (outer, inner))
-        f = SymFunc(schur_expand_raw(raw, n))
+        f = SymFunc(schur_expand_raw(rpp_generating_poly(outer, inner, n), n))
     return f.frozen()
 
 

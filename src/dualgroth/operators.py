@@ -241,8 +241,11 @@ def expand_skew_sum(formal):
 
 
 def tilde_c(la, mu, nu):
-    """Interval sum of c-coefficients over kappa between mu and la."""
+    """Interval sum of c-coefficients over kappa between mu and la; 0 when
+    mu is not inside la, where the interval is empty."""
     la, mu, nu = tuple(la), tuple(mu), tuple(nu)
+    if not contains(mu, la):
+        return 0
     return sum(c_coeff(la, kappa, nu) for kappa in interval(mu, la))
 
 

@@ -398,6 +398,8 @@ def hall(F, f):
 #
 # The engine works on raw {exponent tuple: coefficient} dicts, with int
 # coefficients from the transfer and TPoly coefficients from a MultiPoly.
+# The lift schur_expand_raw is the engine's symmetry check; raw_is_symmetric
+# is the independent one that the symmetry-gate suite and the tests run.
 
 @cache
 def ssyt_poly(la, n):
@@ -436,8 +438,13 @@ def schur_expand_raw(p, n):
     """Expand a symmetric raw polynomial dict over Schur polynomials.
 
     Returns {partition: coefficient} covering every partition with at most
-    n rows; repeatedly strips the lex-greatest surviving monomial, whose
-    exponent vector must be weakly decreasing for a symmetric input.
+    n rows; repeatedly strips c * s_la for the lex-greatest surviving
+    monomial c * x^la.  Raises ValueError exactly when p is not symmetric.
+    Every other monomial of s_la is lex-smaller than x^la (Kostka
+    unitriangularity), so each strip lowers the greatest exponent and the
+    loop ends.  It ends without error only if p is a sum of Schur
+    polynomials, hence symmetric; a symmetric p stays symmetric after
+    each strip, so its greatest exponent is always weakly decreasing.
     """
     p = {e: c for e, c in p.items() if c}
     out = {}
@@ -466,10 +473,9 @@ def from_polynomial(p):
     """Lift a symmetric polynomial in n >= deg(p) variables back to a SymFunc.
 
     The lift is the unique symmetric function of degree <= n restricting
-    to p.
+    to p.  Raises ValueError for too few variables, then from the lift if p
+    is not symmetric.
     """
-    if not raw_is_symmetric(p.terms, p.nvars):
-        raise ValueError("input polynomial is not symmetric")
     if p.nvars < p.total_degree():
         raise ValueError("too few variables: %d for degree %d"
                          % (p.nvars, p.total_degree()))

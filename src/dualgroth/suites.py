@@ -26,7 +26,7 @@ from .schur import (E_series, H_series, SymFunc, TruncSeries, coproduct,
                     to_polynomial, raw_is_symmetric)
 from .serialize import (incidence_text, multipoly_text, series_text,
                         symfunc_text, tensor_text, to_text)
-from .tpoly import ONE, T, ZERO, MultiPoly, TPoly
+from .tpoly import ONE, T, ZERO, MultiPoly, TPoly, add_terms
 
 SuiteSpec = namedtuple("SuiteSpec", ["func", "default_max_size", "description"])
 
@@ -106,12 +106,14 @@ def suite_g_coproduct(max_size, rng):
         def thunk(la=la, mu=mu, m=m):
             nv = 2 * m
             direct = MultiPoly(nv, rpp_generating_poly(la, mu, nv))
-            total = MultiPoly(nv)
+            # x_1..x_m then y_1..y_m: a monomial x^a y^b is the tuple a + b
+            total = {}
             for nu in interval(mu, la):
-                px = to_polynomial(g_skew(nu, mu), m).shift_vars(nv, 0)
-                py = to_polynomial(g_skew(la, nu), m).shift_vars(nv, m)
-                total = total + px.mul(py)
-            return _eq(total, direct, multipoly_text)
+                px = to_polynomial(g_skew(nu, mu), m).terms
+                py = to_polynomial(g_skew(la, nu), m).terms
+                add_terms(total, ((a + b, c * d) for a, c in px.items()
+                                  for b, d in py.items()))
+            return _eq(MultiPoly(nv)._like(total), direct, multipoly_text)
 
         yield format_skew(la, mu), thunk
 

@@ -367,16 +367,14 @@ class MultiPoly(LinComb):
             raise ValueError("variable-count mismatch")
         return LinComb.__add__(self, other)
 
-    def mul(self, other, degree_cap=None):
-        """Exact product; terms above degree_cap dropped when a cap is given."""
+    def mul(self, other):
+        """Exact product."""
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
         out = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
             add_terms(out, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                            for e2, c2 in other.terms.items()
-                            if degree_cap is None or d1 + sum(e2) <= degree_cap))
+                            for e2, c2 in other.terms.items()))
         return self._like(out)
 
     def __mul__(self, other):
@@ -391,16 +389,6 @@ class MultiPoly(LinComb):
         out = add_terms({}, ((exp[1:], c * (value ** exp[0]) if exp[0] else c)
                              for exp, c in self.terms.items()))
         return MultiPoly(self.nvars - 1, out)
-
-    def shift_vars(self, total, offset):
-        """Embed into x_1..x_total with variables moved up by offset."""
-        if offset + self.nvars > total:
-            raise ValueError("shift exceeds variable count")
-        out = {}
-        for exp, c in self.terms.items():
-            e = (0,) * offset + exp + (0,) * (total - offset - self.nvars)
-            out[e] = c
-        return MultiPoly(total, out)
 
     def __repr__(self):
         if not self.terms:

@@ -106,6 +106,10 @@ def test_constants(capsys):
                           "--lambda", "[2]", "--mu", "[30]", "--nu", "[1]")
     assert code == 0 and lines[0]["value"] == 0
     assert time.monotonic() - start < 10
+    # mu outside la: the interval [mu, la] of ctilde is empty
+    code, lines = run_cli(capsys, "constants", "--family", "ctilde",
+                          "--lambda", "[1]", "--mu", "[2]", "--nu", "[1]")
+    assert code == 0 and lines[0]["value"] == 0
 
 
 def test_expand_series_and_errors(capsys):

@@ -80,6 +80,17 @@ def test_straight_g_skips_transfer(monkeypatch):
         g_skew.cache_clear()
 
 
+def test_skew_g_lift_rejects_asymmetric_transfer(monkeypatch):
+    # the lift is the only symmetry check on the skew path
+    monkeypatch.setattr(groth, "rpp_generating_poly", lambda *args: {(1, 0): 1})
+    g_skew.cache_clear()
+    try:
+        with pytest.raises(ValueError):
+            g_skew((2, 1), (1,))
+    finally:
+        g_skew.cache_clear()
+
+
 def test_g_skew_variable_count_reduction_is_safe():
     # the lift from min(|shape|, rows) variables agrees with the lift from
     # |shape| variables wherever the latter is affordable

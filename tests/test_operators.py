@@ -262,6 +262,17 @@ def test_tilde_c_two_routes_agree():
                 assert outer_route == inner_route, (la, mu, nu)
 
 
+def test_tilde_c_zero_off_the_interval():
+    # the interval [mu, la] is empty unless mu sits inside la
+    small = partitions_up_to(4)
+    for la in small:
+        for mu in small:
+            if contains(mu, la):
+                continue
+            for nu in small:
+                assert tilde_c(la, mu, nu) == 0, (la, mu, nu)
+
+
 def test_tilde_d_matches_image_product():
     # oracle: the coefficient of g_la in I(g_mu) I(g_nu)
     for mu in partitions_up_to(3):

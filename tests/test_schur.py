@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 from types import ModuleType
 
 import pytest
@@ -11,8 +11,9 @@ from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
                              TruncSeries, _coproduct_pairs, _mul_pair, _skew,
                              antipode, coproduct, counit, e_gen,
                              from_polynomial, h_gen, hall, is_group_like,
-                             lr_coeff, p_gen, phi_t, schur, series_mul,
-                             ssyt_poly, to_polynomial, truncate)
+                             lr_coeff, p_gen, phi_t, raw_is_symmetric,
+                             schur, schur_expand_raw, series_mul, ssyt_poly,
+                             to_polynomial, truncate)
 from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO, add_terms
 
 
@@ -231,6 +232,36 @@ def test_from_polynomial_examples():
         from_polynomial(MultiPoly(2, {(2, 0): 1}))
     with pytest.raises(ValueError):
         from_polynomial(MultiPoly(1, {(2,): 1, (1,): 1}))
+    # TPoly coefficients: t*x1 + x2 is not symmetric, t*(x1 + x2) is t*s_1
+    with pytest.raises(ValueError):
+        from_polynomial(MultiPoly(2, {(1, 0): T, (0, 1): ONE}))
+    assert from_polynomial(MultiPoly(2, {(1, 0): T, (0, 1): T})) == schur((1,)).scale(T)
+
+
+def test_lift_raises_exactly_on_asymmetric_input():
+    # raw_is_symmetric is the independent oracle for the lift's verdict;
+    # symmetrizing about half the dicts makes both outcomes common
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        p = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = tuple(rng.randint(0, 3) for _ in range(n))
+            c = rng.randint(-2, 2)
+            orbit = set(permutations(exp)) if rng.random() < 0.5 else {exp}
+            add_terms(p, ((e, c) for e in orbit))
+        symmetric = raw_is_symmetric(p, n)
+        seen.add(symmetric)
+        if not symmetric:
+            with pytest.raises(ValueError):
+                schur_expand_raw(p, n)
+            continue
+        back = {}
+        for la, c in schur_expand_raw(p, n).items():
+            add_terms(back, ((e, c * k) for e, k in ssyt_poly(la, n).items()))
+        assert back == {e: c for e, c in p.items() if c}
+    assert seen == {False, True}
 
 
 def test_to_polynomial_examples():

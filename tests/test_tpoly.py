@@ -94,21 +94,6 @@ def test_mpoly_mul_examples():
     assert sq == MultiPoly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     one = MultiPoly.constant(2, 1)
     assert sq.mul(one) == sq
-    assert (x1.mul(x2)).mul(x1, degree_cap=2).is_zero()
-
-
-def test_mpoly_cap_matches_truncation():
-    rng = random.Random(3)
-    for _ in range(30):
-        def rand_poly():
-            return MultiPoly(2, {(rng.randint(0, 3), rng.randint(0, 3)):
-                                 rng.randint(-3, 3) for _ in range(4)})
-        a, b = rand_poly(), rand_poly()
-        cap = rng.randint(0, 5)
-        capped = a.mul(b, degree_cap=cap)
-        full = a.mul(b)
-        trunc = MultiPoly(2, {e: c for e, c in full.terms.items() if sum(e) <= cap})
-        assert capped == trunc
 
 
 def test_mpoly_ring_laws_randomized():
