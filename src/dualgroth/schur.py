@@ -3,14 +3,13 @@ polynomials in t.
 
 SymFunc is a finite Schur expansion; TruncSeries holds every term of degree
 at most an explicit cap and models elements of the completion (H(t), E(t),
-stable Grothendieck series).  Products use the Littlewood-Richardson rule:
-_mul_pair grows one factor by horizontal strips of the other's content
-under the lattice-word condition, so its cost follows the size of the
-answer.  lr_coeff counts the lattice-word skew tableaux of one shape
-directly; it answers single-coefficient queries and is the oracle the
-product is tested against.  _skew is the skew Schur expansion
-s_{sigma/tau}: the Pieri rule for a one-row or one-column tau, lr_coeff
-otherwise.  The coproduct and the perps of operators are built from it.
+stable Grothendieck series).  One Littlewood-Richardson kernel serves the
+products, the coproduct and the perps: _skew expands s_{sigma/tau} by a
+right-to-left column transfer under the lattice-word condition, and
+_mul_pair reads s_mu s_nu from it as the skew Schur function of the
+disconnected shape mu * nu.  lr_coeff counts the lattice-word skew
+tableaux of one shape directly; it answers single-coefficient queries and
+is the oracle the kernel is tested against.
 ssyt_poly evaluates s_la in n variables by the branching rule, peeling
 the horizontal strip of entries n; it serves to_polynomial and the lift
 of a symmetric polynomial back to the Schur basis.
@@ -76,73 +75,63 @@ def lr_coeff(la, mu, nu):
 
 
 @cache
-def _mul_pair(mu, nu):
-    """Schur expansion of s_mu s_nu as a read-only mapping la -> int, in the
-    order of partitions_of.
+def _skew(sigma, tau):
+    """Skew Schur expansion s_{sigma/tau} = sum_rho c^sigma_{tau rho} s_rho
+    as a read-only mapping rho -> int in reverse-lex order; empty unless
+    tau sits inside sigma.
 
-    Littlewood-Richardson rule grown label by label (Fulton, Young Tableaux,
-    section 5): step j adds to the shape a horizontal strip of nu_j cells
-    labelled j, and row r takes only as many as keep the j's in rows <= r at
-    most the (j-1)'s in rows < r, the lattice condition on the reverse
-    reading word.  A state is the shape with the row counts of the last
-    label; equal states merge and add their multiplicities.  Only shapes
-    reachable this way are built, never the other partitions of |mu|+|nu|.
-    The content with fewer rows takes fewer steps and is the cheaper one
-    to add (c^la_{mu nu} = c^la_{nu mu}).
+    Littlewood-Richardson rule read by columns (Galashin, arXiv:1501.00051):
+    c^sigma_{tau rho} counts the semistandard fillings of sigma/tau with
+    content rho whose word, read down each column with the columns taken
+    right to left, is a lattice word.  The transfer fills one column at a
+    time, right to left.  A state is the finished column's entries with
+    the content so far.  An entry exceeds the entry above, is at most the
+    entry to its right and at most len(sigma), and keeps the content a
+    partition.  Equal states merge and add their multiplicities.
     """
-    if len(nu) > len(mu):
-        mu, nu = nu, mu
-    states = {(mu, ()): 1}
-    for j, k in enumerate(nu):
+    if not contains(tau, sigma):
+        return MappingProxyType({})
+    n = len(sigma)
+    cols, tops = transpose(sigma), transpose(tau)
+    states, top = {((), (0,) * n): 1}, 0
+    for c in range(len(cols) - 1, -1, -1):
+        # column c holds rows lo..cols[c]-1; the finished column to its
+        # right holds rows top..top+len(right)-1
+        lo = tops[c] if c < len(tops) else 0
         grown = {}
-        for (shape, prev), mult in states.items():
-            ext = shape + (0,)
-            # partial strips: (row, cells left, lattice room, parts, counts)
-            stack = [(0, k, 0 if j else k, (), ())]
-            while stack:
-                r, left, room, parts, counts = stack.pop()
-                if not left:
-                    key = (parts + shape[r:], counts)
-                    grown[key] = grown.get(key, 0) + mult
-                    continue
-                if 0 < r <= len(prev):
-                    room += prev[r - 1]
-                top = min(left, room, ext[r - 1] - ext[r] if r else left)
-                # the rows below r hold at most ext[r] cells of the strip
-                for a in range(max(0, left - ext[r]), top + 1):
-                    stack.append((r + 1, left - a, room - a,
-                                  parts + (ext[r] + a,), counts + (a,)))
-        states = grown
+        for (right, content), mult in states.items():
+            bound = right + (n,) * (cols[c] - top - len(right))
+            partial = [((), content)]
+            for r in range(lo, cols[c]):
+                partial = [(col + (v,), cnt[:v - 1] + (cnt[v - 1] + 1,) + cnt[v:])
+                           for col, cnt in partial
+                           for v in range(col[-1] + 1 if col else 1, bound[r - top] + 1)
+                           if v == 1 or cnt[v - 2] > cnt[v - 1]]
+            for key in partial:
+                grown[key] = grown.get(key, 0) + mult
+        states, top = grown, lo
     out = {}
-    for (la, _), mult in states.items():
-        out[la] = out.get(la, 0) + mult
+    for (_, content), mult in states.items():
+        rho = tuple(x for x in content if x)
+        out[rho] = out.get(rho, 0) + mult
     return MappingProxyType(dict(sorted(out.items(), reverse=True)))
 
 
 @cache
-def _skew(sigma, tau):
-    """Skew Schur expansion s_{sigma/tau} = sum_rho c^sigma_{tau rho} s_rho
-    as a read-only mapping rho -> int; empty unless tau sits inside sigma.
+def _mul_pair(mu, nu):
+    """Schur expansion of s_mu s_nu as a read-only mapping la -> int, in the
+    order of partitions_of.
 
-    A one-row tau takes the Pieri rule: the rho are the shapes left by
-    removing a horizontal strip of |tau| cells from sigma, each with
-    coefficient 1 (a one-column tau, vertical strips).  Any other tau
-    runs lr_coeff over the rho inside sigma of the complementary size.
+    s_mu s_nu is the skew Schur function of the disconnected shape mu * nu,
+    mu above and to the right of nu: sigma = (mu_i + nu_1)_i followed by
+    nu, and tau = (nu_1)^len(mu).  So c^la_{mu nu} = c^sigma_{tau la}.
+    The transfer fills nu; the factor with fewer rows is the cheaper one to
+    fill (c^la_{mu nu} = c^la_{nu mu}).
     """
-    if len(tau) <= 1:
-        out = dict.fromkeys(horizontal_strip_removals(sigma, size(tau)), 1)
-    elif tau[0] == 1:
-        out = {transpose(eta): 1
-               for eta in horizontal_strip_removals(transpose(sigma), len(tau))}
-    else:
-        m = size(sigma) - size(tau)
-        out = {}
-        for rho in subpartitions(sigma):
-            if size(rho) == m:
-                c = lr_coeff(sigma, tau, rho)
-                if c:
-                    out[rho] = c
-    return MappingProxyType(out)
+    if len(nu) > len(mu):
+        mu, nu = nu, mu
+    w = sum(nu[:1])
+    return _skew(tuple(m + w for m in mu) + nu, nu[:1] * len(mu))
 
 
 @cache
@@ -319,8 +308,11 @@ class TruncSeries(LinComb):
         return self.terms.get(tuple(la), ZERO)
 
     def __add__(self, other):
-        return TruncSeries(min(self.cap, other.cap),
-                           add_terms(self.terms.copy(), other.terms.items()))
+        low = self if self.cap <= other.cap else other
+        terms = add_terms(self.terms.copy(), other.terms.items())
+        if self.cap != other.cap:
+            terms = {la: c for la, c in terms.items() if size(la) <= low.cap}
+        return low._like(terms)
 
     def __eq__(self, other):
         return LinComb.__eq__(self, other) and self.cap == other.cap
@@ -349,13 +341,15 @@ def series_mul(F, G):
 def H_series(N, t_param=T):
     """H(t) truncated at N: sum of t^i h_i with h_i = s_(i)."""
     t_param = _coerce(t_param)
-    return TruncSeries(N, {(i,) if i else (): t_param ** i for i in range(N + 1)})
+    return TruncSeries(N)._like({(i,) if i else (): c for i in range(N + 1)
+                                 if (c := t_param ** i)})
 
 
 def E_series(N, t_param=T):
     """E(t) truncated at N: sum of t^i e_i with e_i one column."""
     t_param = _coerce(t_param)
-    return TruncSeries(N, {(1,) * i: t_param ** i for i in range(N + 1)})
+    return TruncSeries(N)._like({(1,) * i: c for i in range(N + 1)
+                                 if (c := t_param ** i)})
 
 
 def is_group_like(F):

@@ -52,6 +52,10 @@ def test_apply_examples(capsys):
     code, lines = run_cli(capsys, "apply", "--op", "Hperp", "--t", "0",
                           "--to", "s", "s[2,1]")
     assert lines == [{"basis": "s", "terms": [{"partition": [2, 1], "coeff": "1"}]}]
+    # H(0) = 1, so its perp fixes g[2,1] whatever the basis
+    code, lines = run_cli(capsys, "apply", "--op", "Hperp", "--t", "0", "g[2,1]")
+    assert code == 0
+    assert lines == [{"basis": "g", "terms": [{"partition": [2, 1], "coeff": "1"}]}]
 
 
 def test_gperp_below_degree_is_zero(capsys):

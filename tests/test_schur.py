@@ -1,12 +1,14 @@
 import random
+from functools import cache
 from itertools import permutations, product
+from math import comb, factorial
 from types import ModuleType
 
 import pytest
 
 from dualgroth.partitions import (contains, horizontal_strip_additions,
                                   partitions_of, partitions_up_to, size,
-                                  subpartitions, transpose)
+                                  sort_key, subpartitions, transpose)
 from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
                              TruncSeries, _coproduct_pairs, _mul_pair, _skew,
                              antipode, coproduct, counit, e_gen,
@@ -90,15 +92,61 @@ def test_coproduct_pairs_match_scan_up_to_8():
         assert dict(_coproduct_pairs(sigma)) == want
 
 
-def test_skew_matches_lr_scan_up_to_8():
-    # oracle: lr_coeff on every partition of the complementary size; the
-    # one-row and one-column tau take the Pieri path, the rest lr_coeff
-    for sigma in partitions_up_to(8):
+def test_skew_matches_lr_scan_up_to_9():
+    # oracle: lr_coeff on every partition of the complementary size, whose
+    # canonical order the transfer's output keeps
+    for sigma in partitions_up_to(9):
         for tau in subpartitions(sigma):
             scan = {rho: lr_coeff(sigma, tau, rho)
                     for rho in partitions_of(size(sigma) - size(tau))}
-            assert dict(_skew(sigma, tau)) == {rho: c for rho, c in scan.items() if c}
+            want = [(rho, c) for rho, c in scan.items() if c]
+            assert list(_skew(sigma, tau).items()) == want
     assert not _skew((2, 1), (3,)) and not _skew((2, 1), (1, 1, 1))
+
+
+@cache
+def skew_syt_count(sigma, tau=()):
+    """f^{sigma/tau}: standard fillings, by removing the corner holding the
+    largest entry."""
+    if sigma == tau:
+        return 1
+    total = 0
+    for r, part in enumerate(sigma):
+        below = sigma[r + 1] if r + 1 < len(sigma) else 0
+        if part > below and part > (tau[r] if r < len(tau) else 0):
+            rest = sigma[:r] + (part - 1,) + sigma[r + 1:]
+            total += skew_syt_count(tuple(x for x in rest if x), tau)
+    return total
+
+
+def hook_syt_count(la):
+    """f^la by the hook length formula."""
+    hooks = 1
+    for r, part in enumerate(la):
+        for c in range(part):
+            hooks *= part - c + sum(1 for x in la[r + 1:] if x > c)
+    return factorial(size(la)) // hooks
+
+
+def test_skew_and_products_at_pushed_sizes_by_dimension():
+    # too large for the lr_coeff scan; counting standard fillings gives
+    # sum_rho c_rho f^rho = f^{sigma/tau} and, for products,
+    # sum_la c_la f^la = C(n, |mu|) f^mu f^nu
+    sigma, tau = (8, 7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1)
+    expansion = _skew(sigma, tau)
+    assert len(expansion) > 100
+    assert sum(c * hook_syt_count(rho) for rho, c in expansion.items()) \
+        == skew_syt_count(sigma, tau)
+    for mu, nu in [((6, 4, 2), (5, 4, 2, 1)), ((4, 3, 2, 1), (5, 4, 3, 2)),
+                   ((3, 3, 3, 3), (4, 4, 2, 1, 1)), ((9, 5), (4, 3, 2, 1))]:
+        n = size(mu) + size(nu)
+        assert n == 24
+        want = comb(n, size(mu)) * hook_syt_count(mu) * hook_syt_count(nu)
+        for pair in ((mu, nu), (nu, mu)):
+            terms = _mul_pair(*pair)
+            assert sum(c * hook_syt_count(la) for la, c in terms.items()) == want
+            assert list(terms) == sorted(terms, key=sort_key)
+    assert skew_syt_count((3, 2), (1,)) == 5 and hook_syt_count((3, 2)) == 5
 
 
 @pytest.mark.parametrize("table, args, key", [
@@ -299,6 +347,10 @@ def test_series_examples():
     assert H_series(2) == TruncSeries(2, {(): 1, (1,): T, (2,): T ** 2})
     assert E_series(0) == TruncSeries.unit(0)
     assert series_mul(H_series(4), E_series(4, -T)) == TruncSeries.unit(4)
+    for series in (H_series, E_series):
+        # t = 0 leaves only the constant term, with no zero coefficients
+        assert series(3, 0).terms == {(): ONE}
+        assert series(2, -1).terms == series(2, TPoly.const(-1)).terms
 
 
 def test_series_min_cap():
@@ -310,6 +362,11 @@ def test_series_min_cap():
         assert max(size(la) for la in total.terms) == 3
     assert (-F).cap == F.scale(T).cap == 5
     assert not isinstance(F, SymFunc)
+    G = TruncSeries(2, {(1,): 1, (1, 1): 3, (2,): -T ** 2})
+    want = TruncSeries(2, {(): 1, (1,): T + 1, (1, 1): 3})
+    assert F + G == want and G + F == want
+    assert (F - G).terms == {(): ONE, (1,): T - 1, (2,): 2 * T ** 2, (1, 1): TPoly.const(-3)}
+    assert (F - F).is_zero()
 
 
 @pytest.mark.parametrize("f", [
