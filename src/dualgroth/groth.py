@@ -4,12 +4,16 @@ series G, and the two families of structure constants.
 g_{la/mu} is the generating function of reverse plane partitions of the
 skew shape, where a filling contributes one power of x_i per *column*
 containing the entry i.  That column-counting weight is what makes g
-inhomogeneous.  A straight g_la is built directly in the Schur basis
-from elegant fillings (Lam-Pylyavskyy, arXiv:0705.2189, Thm 9.8); a
-skew g is the reverse-plane-partition sum, evaluated by a column
-transfer and lifted to the Schur basis.  The inverse side, s -> g and
-the series G_la dual to g, reads the rows and the columns of one table of
-strict elegant fillings (Lenart, Ann. Comb. 4 (2000), Thm 2.2).
+inhomogeneous.  Rows and columns that hold no cell change neither the
+fillings nor their weights (the conditions tie only row and column
+neighbours, and the weight counts per column), so g_skew first deletes
+them (partitions.skew_normal_form) and builds each diagram once.  A
+straight g_la is built directly in the Schur basis from elegant
+fillings (Lam-Pylyavskyy, arXiv:0705.2189, Thm 9.8); a skew g is the
+reverse-plane-partition sum, evaluated by a column transfer and lifted
+to the Schur basis.  The inverse side, s -> g and the series G_la dual
+to g, reads the rows and the columns of one table of strict elegant
+fillings (Lenart, Ann. Comb. 4 (2000), Thm 2.2).
 """
 
 from functools import cache
@@ -17,9 +21,9 @@ from itertools import product
 from types import MappingProxyType
 
 from .partitions import (cells, contains, interval, partitions_of_containing,
-                         size, transpose)
+                         size, skew_normal_form, transpose)
 from .schur import SymFunc, TensorElem, TruncSeries, hall, schur_expand_raw
-from .tpoly import ZERO, add_terms, sum_rows
+from .tpoly import ZERO, _coerce, add_terms, sum_rows
 
 
 def enumerate_rpp(outer, inner, max_entry):
@@ -186,7 +190,14 @@ def _strict(nu, k):
 def g_skew(outer, inner=()):
     """The dual stable Grothendieck polynomial of outer/inner as a SymFunc.
 
-    Zero when inner is not contained in outer.  A straight shape la is
+    Zero when inner is not contained in outer.  g depends only on the
+    cells up to deleting rows and columns that hold none: the RPP
+    conditions tie only cells adjacent in a row or a column, and the
+    weight counts per column, so an empty row separates pieces that share
+    no column, an empty column separates pieces that share no row, and
+    deleting either keeps every filling and its weight.  A shape not in
+    skew_normal_form therefore returns the cached g of its normal form,
+    and each diagram is built once.  A straight shape la is
     sum_mu f^mu_la s_mu, where f^mu_la counts the elegant fillings of
     la/mu.  A skew shape takes the generating polynomial in enough
     variables to see every Schur component (the expansion of g_{la/mu} is
@@ -196,17 +207,19 @@ def g_skew(outer, inner=()):
     result is cached and shared, so its terms are a read-only mapping.
     """
     outer, inner = tuple(outer), tuple(inner)
-    ncells = size(outer) - size(inner)
     if not contains(inner, outer):
-        f = SymFunc.zero()
-    elif ncells == 0:
-        f = SymFunc.one()
-    elif not inner:
-        f = SymFunc(_elegant(outer, len(outer) - 1))
+        return SymFunc.zero().frozen()
+    normal = skew_normal_form(outer, inner)
+    if normal != (outer, inner):
+        return g_skew(*normal)
+    if not outer:
+        return SymFunc.one().frozen()
+    if inner:
+        n = min(size(outer) - size(inner), len(outer))
+        raw = schur_expand_raw(rpp_generating_poly(outer, inner, n), n)
     else:
-        n = max(1, min(ncells, len(outer)))
-        f = SymFunc(schur_expand_raw(rpp_generating_poly(outer, inner, n), n))
-    return f.frozen()
+        raw = _elegant(outer, len(outer) - 1)
+    return SymFunc()._like({la: _coerce(c) for la, c in raw.items()}).frozen()
 
 
 def g_to_schur(la):

@@ -11,7 +11,7 @@ a silent truncation.
 
 from functools import cache
 
-from .groth import G_truncated, c_coeff, d_coeff, g_skew
+from .groth import G_truncated, d_coeff, g_skew, schur_to_g
 from .partitions import (a_statistic, column_count, contains,
                          horizontal_strip_additions, interval,
                          is_vertical_strip, mobius, size, subpartitions,
@@ -242,11 +242,15 @@ def expand_skew_sum(formal):
 
 def tilde_c(la, mu, nu):
     """Interval sum of c-coefficients over kappa between mu and la; 0 when
-    mu is not inside la, where the interval is empty."""
+    mu is not inside la, where the interval is empty.  The skew g's are
+    summed in the Schur basis first, so the sum is expanded in g once."""
     la, mu, nu = tuple(la), tuple(mu), tuple(nu)
     if not contains(mu, la):
         return 0
-    return sum(c_coeff(la, kappa, nu) for kappa in interval(mu, la))
+    acc = {}
+    for kappa in interval(mu, la):
+        add_terms(acc, g_skew(la, kappa).terms.items())
+    return schur_to_g(SymFunc()._like(acc)).get(nu, ZERO).as_int()
 
 
 def tilde_d(la, mu, nu):

@@ -67,6 +67,33 @@ def column_count(outer, inner=()):
     return sum(1 for c in range(len(lt)) if lt[c] > (it[c] if c < len(it) else 0))
 
 
+def skew_normal_form(outer, inner=()):
+    """outer/inner with every row and every column that holds no cell
+    deleted, as a pair of partitions; ``((), ())`` when outer == inner.
+
+    One bottom-up pass: each nonempty row moves left by the empty columns
+    at and below it, which are the bottom nonempty row's inner part plus
+    max(0, inner_r - outer_s) for each pair of consecutive nonempty rows
+    r above s.  The kept rows and columns keep their order, so each cell
+    keeps its row and column neighbours.
+    """
+    _check_skew(outer, inner)
+    padded = inner + (0,) * (len(outer) - len(inner))
+    out, inn = [], []
+    shift = below = 0
+    for r in range(len(outer) - 1, -1, -1):
+        lo, hi = padded[r], outer[r]
+        if lo < hi:
+            if lo > below:
+                shift += lo - below
+            out.append(hi - shift)
+            inn.append(lo - shift)
+            below = hi
+    out.reverse()
+    inn.reverse()
+    return tuple(out), tuple(x for x in inn if x)
+
+
 def _check_skew(outer, inner):
     if not contains(inner, outer):
         raise ValueError("not a skew shape: %s does not contain %s"

@@ -91,6 +91,51 @@ def test_skew_g_lift_rejects_asymmetric_transfer(monkeypatch):
         g_skew.cache_clear()
 
 
+def test_skew_g_matches_transfer_on_the_original_shape_up_to_9():
+    # g_skew builds the normal form; the transfer and lift run on the
+    # shape as given, empty rows and columns included
+    for la in partitions_up_to(9):
+        for mu in subpartitions(la):
+            ncells = size(la) - size(mu)
+            if not mu or ncells == 0:
+                continue
+            n = min(ncells, len(la))
+            raw = rpp_generating_poly(la, mu, n)
+            assert as_int_dict(g_skew(la, mu).terms) == schur_expand_raw(raw, n), (la, mu)
+
+
+def _translated(la, mu, k, j):
+    # la/mu moved right by k columns and down by j full rows
+    top = (la[0] + k,) * j
+    inner = mu + (0,) * (len(la) - len(mu))
+    return (top + tuple(x + k for x in la),
+            tuple(x for x in top + tuple(x + k for x in inner) if x))
+
+
+def test_translated_diagrams_have_the_same_g():
+    for la, mu in [((3, 2, 1), (1,)), ((2, 2), ()), ((4, 2, 1), (2, 1)),
+                   ((3, 1), (1,))]:
+        for k, j in [(1, 0), (0, 1), (2, 1), (1, 2)]:
+            la2, mu2 = _translated(la, mu, k, j)
+            for n in (1, 2, 3):
+                assert (rpp_generating_poly(la2, mu2, n)
+                        == rpp_generating_poly(la, mu, n)), (la2, mu2, n)
+            assert g_skew(la2, mu2) == g_skew(la, mu), (la2, mu2)
+    assert _translated((2, 1), (1,), 1, 1) == ((3, 3, 2), (3, 2, 1))
+
+
+def test_skew_g_of_a_straight_diagram_skips_transfer(monkeypatch):
+    def boom(*args):
+        raise AssertionError("transfer called for a straight diagram")
+
+    monkeypatch.setattr(groth, "rpp_generating_poly", boom)
+    g_skew.cache_clear()
+    try:
+        assert g_skew((3, 3, 1), (3,)) == g_to_schur((3, 1))
+    finally:
+        g_skew.cache_clear()
+
+
 def test_g_skew_variable_count_reduction_is_safe():
     # the lift from min(|shape|, rows) variables agrees with the lift from
     # |shape| variables wherever the latter is affordable

@@ -1,14 +1,15 @@
 import pytest
 
-from dualgroth.partitions import (a_statistic, as_partition, column_count,
-                                  contains, format_partition, format_skew,
-                                  horizontal_strip_additions,
+from dualgroth.partitions import (a_statistic, as_partition, cells,
+                                  column_count, contains, format_partition,
+                                  format_skew, horizontal_strip_additions,
                                   horizontal_strip_removals, interval,
                                   is_horizontal_strip, is_rook_strip,
                                   is_vertical_strip, mobius, parse_partition,
                                   partitions_of, partitions_up_to, size,
-                                  sort_key, strip_kind, subpartitions,
-                                  transpose, vertical_strip_additions,
+                                  skew_normal_form, sort_key, strip_kind,
+                                  subpartitions, transpose,
+                                  vertical_strip_additions,
                                   vertical_strip_removals)
 
 
@@ -51,6 +52,40 @@ def test_column_count_examples():
     assert column_count((2, 2), (1, 1)) == 1
     assert column_count((2, 1), (2, 1)) == 0
     assert column_count((3, 1)) == 3
+
+
+def _normal_form_by_cells(outer, inner):
+    # delete the empty rows and columns of the cell set and reindex
+    shape = cells(outer, inner)
+    rows = {r: i for i, r in enumerate(sorted({r for r, c in shape}))}
+    cols = {c: j for j, c in enumerate(sorted({c for r, c in shape}))}
+    out, inn = [0] * len(rows), [None] * len(rows)
+    for r, c in shape:
+        i, j = rows[r], cols[c]
+        out[i] = max(out[i], j + 1)
+        inn[i] = j if inn[i] is None else min(inn[i], j)
+    return tuple(out), tuple(x for x in inn if x)
+
+
+def test_skew_normal_form_matches_cell_deletion_up_to_9():
+    pairs = [(la, mu) for la in partitions_up_to(9) for mu in subpartitions(la)]
+    assert len(pairs) == 1592
+    for la, mu in pairs:
+        normal = skew_normal_form(la, mu)
+        assert normal == _normal_form_by_cells(la, mu), (la, mu)
+        assert skew_normal_form(*normal) == normal, (la, mu)
+    for la in partitions_up_to(9):
+        assert skew_normal_form(la, ()) == (la, ())
+        assert skew_normal_form(la, la) == ((), ())
+
+
+def test_skew_normal_form_examples():
+    assert skew_normal_form((3, 3, 1), (3,)) == ((3, 1), ())
+    assert skew_normal_form((4, 2), (3,)) == ((3, 2), (2,))
+    assert skew_normal_form((4, 4, 1), (2, 2)) == ((3, 3, 1), (1, 1))
+    assert skew_normal_form((3, 2, 1), (1,)) == ((3, 2, 1), (1,))
+    with pytest.raises(ValueError):
+        skew_normal_form((2,), (3,))
 
 
 def test_strip_kind_examples():
