@@ -49,6 +49,10 @@ def cmd_expand(args):
 
 
 def cmd_apply(args):
+    if args.t is not None and args.op not in ("Hperp", "Eperp"):
+        raise ExprError("--t applies to Hperp and Eperp only")
+    if args.mu is not None and args.op != "Gperp":
+        raise ExprError("--mu applies to Gperp only")
     node = parse_expr(args.expr)
     value = eval_expr(node)
     if not isinstance(value, SymFunc):
@@ -64,6 +68,10 @@ def cmd_apply(args):
 
 
 def cmd_inner(args):
+    if args.t is not None and args.series == "G":
+        raise ExprError("--t applies to the H and E series only")
+    if args.la is not None and args.series != "G":
+        raise ExprError("--lambda applies to the G series only")
     node = parse_expr(args.expr)
     value = eval_expr(node)
     if not isinstance(value, SymFunc):

@@ -10,10 +10,11 @@ neighbours, and the weight counts per column), so g_skew first deletes
 them (partitions.skew_normal_form) and builds each diagram once.  A
 straight g_la is built directly in the Schur basis from elegant
 fillings (Lam-Pylyavskyy, arXiv:0705.2189, Thm 9.8); a skew g is the
-reverse-plane-partition sum, evaluated by a column transfer and lifted
-to the Schur basis.  The inverse side, s -> g and the series G_la dual
-to g, reads the rows and the columns of one table of strict elegant
-fillings (Lenart, Ann. Comb. 4 (2000), Thm 2.2).
+reverse-plane-partition sum, evaluated by a left-to-right column
+transfer in the form of schur._skew and lifted to the Schur basis.  The
+inverse side, s -> g and the series G_la dual to g, reads the rows and
+the columns of one table of strict elegant fillings (Lenart, Ann. Comb.
+4 (2000), Thm 2.2).
 """
 
 from functools import cache
@@ -74,74 +75,55 @@ def rpp_generating_poly(outer, inner, nvars):
     """Sum of x^T over reverse plane partitions with entries <= nvars, as a
     raw {exponent: int} dict.
 
-    Cell-by-cell transfer in column-major order.  A state remembers only
-    what later cells can still see: the value above the current cell, the
-    unconsumed left-neighbour values, and the values on rows the next
-    column shares; fillings that agree there are merged, which keeps
-    shapes with astronomically many fillings cheap.  Agrees with summing
-    rpp_weight over enumerate_rpp.
+    Column transfer, left to right, in the form of schur._skew.  A state is
+    the finished column's entries on the rows the next column shares (from
+    this column's top row down to the next column's bottom; none if that
+    range is empty) and carries one polynomial.  Each filling of the next
+    column weakly increases downwards, and an entry is at least the entry
+    above, at least its left neighbour where one exists, and at most nvars.
+    Fillings that agree on the kept entries and on their set of distinct
+    values are counted together and shift the state's polynomial by one x_v
+    per distinct value v.  Equal states merge; the result is the sum over
+    the final states.  Agrees with summing rpp_weight over enumerate_rpp.
+    Exponents are packed into one int, a field of `bits` bits per variable
+    (an exponent is at most the number of columns), so a shift is one
+    addition.
     """
-    zero = (0,) * nvars
     if not contains(inner, outer):
         return {}
-    lt, it = transpose(outer), transpose(inner)
-    columns = []
-    for c in range(len(lt)):
-        top = it[c] if c < len(it) else 0
-        if lt[c] > top:
-            columns.append((top, lt[c]))
-    # frontier: values of the finished column on rows shared with the next;
-    # in_start is the first row those values belong to
-    frontier = {(): {zero: 1}}
-    in_start = 0
-    for idx, (top, bot) in enumerate(columns):
-        if idx + 1 < len(columns):
-            ntop, nbot = columns[idx + 1]
-            out_lo, out_hi = max(top, ntop), min(bot, nbot)
-        else:
-            out_lo, out_hi = bot, bot
-        # state: (left-neighbour values not yet consumed, values kept for
-        # the next column, value in the cell above) -> polynomial
-        states = {}
-        for in_rem, poly in frontier.items():
-            key = (in_rem, (), 0)
-            tgt = states.setdefault(key, {})
-            for exp, c in poly.items():
-                tgt[exp] = tgt.get(exp, 0) + c
-        for r in range(top, bot):
-            nxt = {}
-            for (in_rem, kept, above), poly in states.items():
-                lo = max(1, above)
-                if in_rem and r >= in_start:
-                    lo = max(lo, in_rem[0])
-                    in_next = in_rem[1:]
-                else:
-                    in_next = in_rem
-                for v in range(lo, nvars + 1):
-                    kept2 = kept + (v,) if out_lo <= r < out_hi else kept
-                    key = (in_next, kept2, v)
-                    tgt = nxt.setdefault(key, {})
-                    if v > above:
-                        # first occurrence of v in this column: weight x_v
-                        for exp, c in poly.items():
-                            e = list(exp)
-                            e[v - 1] += 1
-                            e = tuple(e)
-                            tgt[e] = tgt.get(e, 0) + c
-                    else:
-                        for exp, c in poly.items():
-                            tgt[exp] = tgt.get(exp, 0) + c
-            states = nxt
-        frontier = {}
-        for (in_rem, kept, above), poly in states.items():
-            tgt = frontier.setdefault(kept, {})
-            for exp, c in poly.items():
-                tgt[exp] = tgt.get(exp, 0) + c
-        in_start = out_lo
+    cols, tops = transpose(outer), transpose(inner)
+    bits = len(cols).bit_length()
+    unit = [0] + [1 << bits * i for i in range(nvars)]
+    # column c holds rows lo..cols[c]-1; the state on its left holds rows
+    # top..top+len(left)-1 (the first column has no left neighbours)
+    states, top = {(): {0: 1}}, cols[0] if cols else 0
+    for c in range(len(cols)):
+        lo = tops[c] if c < len(tops) else 0
+        keep = (cols[c + 1] if c + 1 < len(cols) else 0) - lo
+        grown = {}
+        for left, poly in states.items():
+            floor = (1,) * (top - lo) + left
+            # (kept entries, last entry, x^(distinct values)) -> fillings
+            fills = {((), 0, 0): 1}
+            for i in range(cols[c] - lo):
+                nxt = {}
+                for (kept, last, mono), k in fills.items():
+                    for v in range(max(last, floor[i]), nvars + 1):
+                        key = (kept + (v,) if i < keep else kept, v,
+                               mono if v == last else mono + unit[v])
+                        nxt[key] = nxt.get(key, 0) + k
+                fills = nxt
+            for (kept, _, mono), k in fills.items():
+                tgt = grown.setdefault(kept, {})
+                for x, m in poly.items():
+                    tgt[x + mono] = tgt.get(x + mono, 0) + k * m
+        states, top = grown, lo
+    mask = (1 << bits) - 1
     total = {}
-    for poly in frontier.values():
-        for exp, c in poly.items():
-            total[exp] = total.get(exp, 0) + c
+    for poly in states.values():
+        for x, m in poly.items():
+            exp = tuple(x >> bits * i & mask for i in range(nvars))
+            total[exp] = total.get(exp, 0) + m
     return total
 
 

@@ -388,7 +388,7 @@ class MultiPoly(LinComb):
         """Set x_1 = value (an integer) and drop that variable."""
         out = add_terms({}, ((exp[1:], c * (value ** exp[0]) if exp[0] else c)
                              for exp, c in self.terms.items()))
-        return MultiPoly(self.nvars - 1, out)
+        return MultiPoly(self.nvars - 1)._like(out)
 
     def __repr__(self):
         if not self.terms:

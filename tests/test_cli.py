@@ -65,6 +65,23 @@ def test_gperp_below_degree_is_zero(capsys):
         assert lines == [{"basis": "g", "terms": []}]
 
 
+@pytest.mark.parametrize("argv", [
+    ("apply", "--op", "I", "--t", "5", "s[2]"),
+    ("apply", "--op", "Iinv", "--t", "t", "s[2]"),
+    ("apply", "--op", "Gperp", "--mu", "[1]", "--t", "1", "s[2]"),
+    ("apply", "--op", "Hperp", "--mu", "[1]", "s[2]"),
+    ("apply", "--op", "I", "--mu", "[1]", "s[2]"),
+    ("inner", "--series", "G", "--lambda", "[1]", "--t", "1", "g[1]"),
+    ("inner", "--series", "H", "--lambda", "[1]", "g[1]"),
+    ("inner", "--series", "E", "--lambda", "[1]", "--t", "1", "g[1]"),
+])
+def test_flag_that_the_op_ignores_is_a_usage_error(capsys, argv):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_staircase_g_expands(capsys):
     code, lines = run_cli(capsys, "expand", "--to", "s", "g[6,5,4,3,2,1]")
     assert code == 0

@@ -33,18 +33,19 @@ def test_rpp_weight_counts_columns_once():
 
 
 def test_generating_poly_matches_enumeration():
-    # brute-force oracle for the transfer-matrix evaluation
-    for la in partitions_up_to(5):
+    # brute-force oracle for the column transfer, with fewer variables than
+    # cells (the case g_skew uses) as well as one per cell
+    for la in partitions_up_to(6):
         for mu in subpartitions(la):
-            n = max(1, size(la) - size(mu))
-            brute = {}
-            for filling in enumerate_rpp(la, mu, n):
-                exp = [0] * n
-                for v, k in rpp_weight(filling).items():
-                    exp[v - 1] = k
-                key = tuple(exp)
-                brute[key] = brute.get(key, 0) + 1
-            assert rpp_generating_poly(la, mu, n) == brute
+            for n in {1, 2, 3, max(1, size(la) - size(mu))}:
+                brute = {}
+                for filling in enumerate_rpp(la, mu, n):
+                    exp = [0] * n
+                    for v, k in rpp_weight(filling).items():
+                        exp[v - 1] = k
+                    key = tuple(exp)
+                    brute[key] = brute.get(key, 0) + 1
+                assert rpp_generating_poly(la, mu, n) == brute
 
 
 def test_g_skew_small_values():
