@@ -34,6 +34,9 @@ def _parse_part_arg(text, name):
 
 def cmd_expand(args):
     node = parse_expr(args.expr)
+    # the tokenizer admits the letter G only as a G atom
+    if args.cap is not None and "G" not in args.expr:
+        raise ExprError("--cap applies to expressions with G atoms only")
     value = eval_expr(node, cap=args.cap)
     if args.to == "s":
         if isinstance(value, TruncSeries):

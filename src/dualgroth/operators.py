@@ -6,16 +6,18 @@ under the Hall pairing.  It reads only the support of F: each tau there
 contributes F_tau s_{sigma/tau} through the skew kernel schur._skew, so
 the one-row H(t) and one-column E(t) take the Pieri rule and never an LR
 coefficient.  Caps are explicit and exceeding one is a hard error, never
-a silent truncation.
+a silent truncation.  c-tilde reads one skew g under I by the interval
+identity I(g_{la/mu}) = sum over kappa in [mu, la] of g_{la/kappa}, which
+the i-skew suite checks.
 """
 
 from functools import cache
 
 from .groth import G_truncated, d_coeff, g_skew, schur_to_g
 from .partitions import (a_statistic, column_count, contains,
-                         horizontal_strip_additions, interval,
-                         is_vertical_strip, mobius, size, subpartitions,
-                         transpose, vertical_strip_removals)
+                         horizontal_strip_additions, is_vertical_strip,
+                         mobius, size, subpartitions, transpose,
+                         vertical_strip_removals)
 from .schur import E_series, H_series, SymFunc, _skew
 from .tpoly import (ONE, T, ZERO, TPoly, _coerce, add_terms, binomial_general,
                     sum_rows)
@@ -125,21 +127,16 @@ class IncidenceFn:
 
 
 def inc_convolve(f, g):
-    """Interval convolution (fg)(mu, la) = sum over mu <= nu <= la."""
+    """Interval convolution (fg)(mu, la) = sum over mu <= nu <= la of
+    f(mu, nu) g(nu, la), over the supports: f(mu, nu) meets g(nu, *)."""
     if f.ground != g.ground:
         raise ValueError("ground mismatch")
+    from_lower = {}
+    for (nu, la), b in g.values.items():
+        from_lower.setdefault(nu, []).append((la, b))
     out = {}
-    for mu, la in _comparable_pairs(f.ground):
-        s = ZERO
-        for nu in interval(mu, la):
-            a = f.value(mu, nu)
-            if a.is_zero():
-                continue
-            b = g.value(nu, la)
-            if not b.is_zero():
-                s = s + a * b
-        if not s.is_zero():
-            out[(mu, la)] = s
+    for (mu, nu), a in f.values.items():
+        add_terms(out, (((mu, la), a * b) for la, b in from_lower.get(nu, ())))
     return IncidenceFn(f.ground, out)
 
 
@@ -214,17 +211,18 @@ def skew_pieri(k, mu, nu):
     if not contains(nu, mu):
         raise ValueError("invalid skew shape %r/%r" % (mu, nu))
     nut = transpose(nu)
+    lowers = [(eta, size(nu) - size(eta), a_statistic(nut, transpose(eta)))
+              for eta in vertical_strip_removals(nu)]
 
     def pieri_terms():
         for grow in range(k + 1):
             for la in horizontal_strip_additions(mu, grow):
                 a_top = a_statistic(la, mu)
-                for eta in vertical_strip_removals(nu):
-                    shrink = size(nu) - size(eta)
+                for eta, shrink, a_eta in lowers:
                     lower = k - grow - shrink
                     if lower < 0:
                         continue
-                    m = a_top - a_statistic(nut, transpose(eta)) - shrink
+                    m = a_top - a_eta - shrink
                     yield (la, eta), (-1) ** (k - grow) * binomial_general(m, lower)
 
     return add_terms({}, pieri_terms())
@@ -241,16 +239,10 @@ def expand_skew_sum(formal):
 
 
 def tilde_c(la, mu, nu):
-    """Interval sum of c-coefficients over kappa between mu and la; 0 when
-    mu is not inside la, where the interval is empty.  The skew g's are
-    summed in the Schur basis first, so the sum is expanded in g once."""
-    la, mu, nu = tuple(la), tuple(mu), tuple(nu)
-    if not contains(mu, la):
-        return 0
-    acc = {}
-    for kappa in interval(mu, la):
-        add_terms(acc, g_skew(la, kappa).terms.items())
-    return schur_to_g(SymFunc()._like(acc)).get(nu, ZERO).as_int()
+    """Sum of c-coefficients over kappa in [mu, la]: the coefficient of g_nu
+    in I(g_{la/mu}), by the interval identity that the i-skew suite checks;
+    0 when mu is not inside la, where g_{la/mu} is 0."""
+    return schur_to_g(op_I(g_skew(la, mu))).get(tuple(nu), ZERO).as_int()
 
 
 def tilde_d(la, mu, nu):

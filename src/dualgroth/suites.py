@@ -16,11 +16,10 @@ from .operators import (E_perp, H_perp, inc_convolve, inc_delta, inc_it,
                         inc_jt, inc_mobius, inc_zeta, op_I, op_I_inv, perp,
                         skew_pieri, expand_skew_sum, telescoping_X, tilde_c,
                         tilde_d)
-from .partitions import (column_count, contains, format_partition,
-                         format_skew, interval, is_horizontal_strip,
-                         is_vertical_strip, partitions_of, partitions_up_to,
-                         size, sort_key, subpartitions,
-                         vertical_strip_additions)
+from .partitions import (column_count, format_partition, format_skew,
+                         interval, is_horizontal_strip, is_vertical_strip,
+                         partitions_of_containing, partitions_up_to, size,
+                         sort_key, subpartitions, vertical_strip_additions)
 from .schur import (E_series, H_series, SymFunc, TruncSeries, coproduct,
                     antipode, hall, is_group_like, phi_t, schur, series_mul,
                     to_polynomial, raw_is_symmetric)
@@ -241,15 +240,22 @@ def suite_i_substitution(max_size, rng):
         yield format_partition(la), thunk
 
 
+def _interval_sums(la, mu):
+    """The two sides of I(g_{la/mu}): the sums over nu in [mu, la] of
+    g_{nu/mu} and of g_{la/nu}."""
+    inner_sum = SymFunc.zero()
+    outer_sum = SymFunc.zero()
+    for nu in interval(mu, la):
+        inner_sum = inner_sum + g_skew(nu, mu)
+        outer_sum = outer_sum + g_skew(la, nu)
+    return inner_sum, outer_sum
+
+
 def suite_i_skew(max_size, rng):
     for la, mu in _skew_shapes(max_size):
         def thunk(la=la, mu=mu):
             image = op_I(g_skew(la, mu))
-            inner_sum = SymFunc.zero()
-            outer_sum = SymFunc.zero()
-            for nu in interval(mu, la):
-                inner_sum = inner_sum + g_skew(nu, mu)
-                outer_sum = outer_sum + g_skew(la, nu)
+            inner_sum, outer_sum = _interval_sums(la, mu)
             ok1, lhs, rhs = _eq(image, inner_sum, symfunc_text)
             if not ok1:
                 return (False, lhs, rhs)
@@ -393,9 +399,8 @@ def suite_series_g_products(max_size, rng):
             lhs = series_mul(H_series(N), G_truncated(la, N))
             rhs = TruncSeries(N)
             for m in range(size(la), N + 1):
-                for mu in partitions_of(m):
-                    if contains(la, mu):
-                        rhs = rhs + G_truncated(mu, N).scale(T ** column_count(mu, la))
+                for mu in partitions_of_containing(m, la):
+                    rhs = rhs + G_truncated(mu, N).scale(T ** column_count(mu, la))
             return _eq(lhs, rhs, series_text)
 
         yield "H(t)G%s" % format_partition(la), ht_case
@@ -418,9 +423,8 @@ def suite_series_g_products(max_size, rng):
             lhs = series_mul(total, G_truncated(la, N))
             rhs = TruncSeries(N)
             for m in range(size(la), N + 1):
-                for mu in partitions_of(m):
-                    if contains(la, mu):
-                        rhs = rhs + G_truncated(mu, N)
+                for mu in partitions_of_containing(m, la):
+                    rhs = rhs + G_truncated(mu, N)
             return _eq(lhs, rhs, series_text)
 
         yield "sumG*G%s" % format_partition(la), i_star_case
@@ -537,11 +541,7 @@ def suite_example_321_1(max_size, rng):
     def i_skew_case():
         la, mu = _EXAMPLE_SHAPE
         image = op_I(g_skew(la, mu))
-        inner_sum = SymFunc.zero()
-        outer_sum = SymFunc.zero()
-        for nu in interval(mu, la):
-            inner_sum = inner_sum + g_skew(nu, mu)
-            outer_sum = outer_sum + g_skew(la, nu)
+        inner_sum, outer_sum = _interval_sums(la, mu)
         union = set()
         for top in ((3, 2), (3, 1, 1), (2, 2, 1)):
             union.update(subpartitions(top))

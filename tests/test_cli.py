@@ -74,6 +74,7 @@ def test_gperp_below_degree_is_zero(capsys):
     ("inner", "--series", "G", "--lambda", "[1]", "--t", "1", "g[1]"),
     ("inner", "--series", "H", "--lambda", "[1]", "g[1]"),
     ("inner", "--series", "E", "--lambda", "[1]", "--t", "1", "g[1]"),
+    ("expand", "--to", "s", "--cap", "2", "s[3]"),
 ])
 def test_flag_that_the_op_ignores_is_a_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 2

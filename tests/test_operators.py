@@ -1,3 +1,6 @@
+import random
+from functools import cache
+
 import pytest
 
 from dualgroth.groth import G_truncated, g_skew, g_to_schur, schur_to_g
@@ -201,6 +204,46 @@ def test_incidence_it_jt_inverse():
                 assert jt1.value(mu, nu).as_int() == mobius(mu, nu)
 
 
+@cache
+def _intervals(ground):
+    return [(mu, la, interval(mu, la))
+            for la in subpartitions(ground) for mu in subpartitions(la)]
+
+
+def _convolve_by_intervals(f, g):
+    # oracle: scan the interval [mu, la] of every comparable pair
+    out = {}
+    for mu, la, between in _intervals(f.ground):
+        s = ZERO
+        for nu in between:
+            a = f.value(mu, nu)
+            if a.is_zero():
+                continue
+            b = g.value(nu, la)
+            if not b.is_zero():
+                s = s + a * b
+        if not s.is_zero():
+            out[(mu, la)] = s
+    return IncidenceFn(f.ground, out)
+
+
+def _random_incidence(rng, ground):
+    pairs = [(mu, la) for mu, la, _ in _intervals(ground)]
+    return IncidenceFn(ground, {pair: TPoly((rng.randint(-2, 2), rng.randint(-2, 2)))
+                                for pair in rng.sample(pairs, len(pairs) // 4)})
+
+
+def test_convolution_matches_interval_scan():
+    rng = random.Random(14)
+    for ground in ((), (1,), (2, 1), (3, 2, 1), (4, 3, 2, 1)):
+        fns = [make(ground) for make in (inc_delta, inc_zeta, inc_mobius,
+                                         inc_it, inc_jt)]
+        fns += [_random_incidence(rng, ground) for _ in range(3)]
+        for f in fns:
+            for g in fns:
+                assert inc_convolve(f, g) == _convolve_by_intervals(f, g), ground
+
+
 def test_telescoping():
     for q in range(1, 11):
         assert telescoping_X(q) == ZERO
@@ -260,6 +303,21 @@ def test_tilde_c_two_routes_agree():
                 inner_route = sum(c_coeff(kappa, mu, nu)
                                   for kappa in interval(mu, la))
                 assert outer_route == inner_route, (la, mu, nu)
+
+
+def test_tilde_c_matches_outer_interval_sum():
+    # oracle: expand the sum of g_{la/kappa} over kappa in [mu, la] in g
+    count = 0
+    for la in partitions_up_to(7):
+        for mu in subpartitions(la):
+            acc = {}
+            for kappa in interval(mu, la):
+                add_terms(acc, g_skew(la, kappa).terms.items())
+            expansion = as_int_dict(schur_to_g(SymFunc()._like(acc)))
+            for nu in partitions_up_to(size(la) - size(mu)):
+                assert tilde_c(la, mu, nu) == expansion.get(nu, 0), (la, mu, nu)
+                count += 1
+    assert count == 4283
 
 
 def test_tilde_c_zero_off_the_interval():
