@@ -74,6 +74,19 @@ def lr_coeff(la, mu, nu):
     return hits
 
 
+def _corners(content, bits, mask):
+    """The values v whose count can grow by one and leave the packed
+    content a partition: 1, and each v with count(v - 1) > count(v)."""
+    out, above, v = (1,), content & mask, 2
+    content >>= bits
+    while above:
+        here = content & mask
+        if above > here:
+            out += (v,)
+        above, content, v = here, content >> bits, v + 1
+    return out
+
+
 @cache
 def _skew(sigma, tau):
     """Skew Schur expansion s_{sigma/tau} = sum_rho c^sigma_{tau rho} s_rho
@@ -84,36 +97,55 @@ def _skew(sigma, tau):
     c^sigma_{tau rho} counts the semistandard fillings of sigma/tau with
     content rho whose word, read down each column with the columns taken
     right to left, is a lattice word.  The transfer fills one column at a
-    time, right to left.  A state is the finished column's entries with
-    the content so far.  An entry exceeds the entry above, is at most the
-    entry to its right and at most len(sigma), and keeps the content a
-    partition.  Equal states merge and add their multiplicities.
+    time, right to left.  A state is the finished column's entries on the
+    rows the next column shares, with the content so far.  An entry
+    exceeds the entry above and is at most the entry to its right and at
+    most len(sigma).  The entries v_1 < ... < v_k of a column keep the word
+    lattice exactly when content + e_{v_1} + ... + e_{v_k} is a partition,
+    so each column adds a vertical strip to the content: the next entry
+    down is the entry above plus one (1 at the top), or a later value
+    where the content had an addable corner before the column began.
+    Equal states merge and add their multiplicities.  The content is
+    packed into one int, a field of |sigma/tau|.bit_length() bits per
+    value (a count is at most the number of cells): a column's entries
+    build its strip, and one addition adds the strip to the content.
     """
     if not contains(tau, sigma):
         return MappingProxyType({})
-    n = len(sigma)
+    n, bits = len(sigma), (size(sigma) - size(tau)).bit_length()
+    mask = (1 << bits) - 1
+    unit = [0] + [1 << bits * i for i in range(n)]
     cols, tops = transpose(sigma), transpose(tau)
-    states, top = {((), (0,) * n): 1}, 0
-    for c in range(len(cols) - 1, -1, -1):
-        # column c holds rows lo..cols[c]-1; the finished column to its
-        # right holds rows top..top+len(right)-1
-        lo = tops[c] if c < len(tops) else 0
-        grown = {}
-        for (right, content), mult in states.items():
-            bound = right + (n,) * (cols[c] - top - len(right))
-            partial = [((), content)]
-            for r in range(lo, cols[c]):
-                partial = [(col + (v,), cnt[:v - 1] + (cnt[v - 1] + 1,) + cnt[v:])
-                           for col, cnt in partial
-                           for v in range(col[-1] + 1 if col else 1, bound[r - top] + 1)
-                           if v == 1 or cnt[v - 2] > cnt[v - 1]]
-            for key in partial:
-                grown[key] = grown.get(key, 0) + mult
-        states, top = grown, lo
+    # column c - 1 holds rows tops[c]..cols[c - 1] - 1; the first column
+    # filled (the rightmost) has no right neighbour and the last shares
+    # no rows with a next one
+    tops = (n,) + tops + (0,) * (len(cols) - len(tops))
+    states = {((), 0): 1}
+    for c in range(len(cols), 0, -1):
+        lo, pad = tops[c], (n,) * (cols[c - 1] - tops[c])
+        # (bounds by row, corners, content, multiplicity) of each state,
+        # with the column's entries on the shared rows, its strip and its
+        # last entry
+        partial = [((right + pad, _corners(content, bits, mask), content, mult), (), 0, 0)
+                   for (right, content), mult in states.items()]
+        keep, states = tops[c - 1] - lo, {}
+        for i in range(cols[c - 1] - lo):
+            grow = i >= keep
+            partial = [(st, col + (v,) if grow else col, strip + unit[v], v)
+                       for st, col, strip, last in partial
+                       for bound in (st[0][i],)
+                       for v in (st[1] if last + 1 in st[1] else (last + 1,) + st[1])
+                       if last < v <= bound]
+        for (_, _, content, mult), col, strip, _ in partial:
+            key = (col, content + strip)
+            states[key] = states.get(key, 0) + mult
     out = {}
     for (_, content), mult in states.items():
-        rho = tuple(x for x in content if x)
-        out[rho] = out.get(rho, 0) + mult
+        rho = []
+        while content:
+            rho.append(content & mask)
+            content >>= bits
+        out[tuple(rho)] = mult
     return MappingProxyType(dict(sorted(out.items(), reverse=True)))
 
 
@@ -125,10 +157,10 @@ def _mul_pair(mu, nu):
     s_mu s_nu is the skew Schur function of the disconnected shape mu * nu,
     mu above and to the right of nu: sigma = (mu_i + nu_1)_i followed by
     nu, and tau = (nu_1)^len(mu).  So c^la_{mu nu} = c^sigma_{tau la}.
-    The transfer fills nu; the factor with fewer rows is the cheaper one to
-    fill (c^la_{mu nu} = c^la_{nu mu}).
+    The transfer fills nu; the factor with fewer cells is the cheaper one
+    to fill (c^la_{mu nu} = c^la_{nu mu}), as it has fewer fillings.
     """
-    if len(nu) > len(mu):
+    if size(nu) > size(mu):
         mu, nu = nu, mu
     w = sum(nu[:1])
     return _skew(tuple(m + w for m in mu) + nu, nu[:1] * len(mu))

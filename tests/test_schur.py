@@ -141,12 +141,36 @@ def test_skew_and_products_at_pushed_sizes_by_dimension():
                    ((3, 3, 3, 3), (4, 4, 2, 1, 1)), ((9, 5), (4, 3, 2, 1))]:
         n = size(mu) + size(nu)
         assert n == 24
-        want = comb(n, size(mu)) * hook_syt_count(mu) * hook_syt_count(nu)
         for pair in ((mu, nu), (nu, mu)):
-            terms = _mul_pair(*pair)
-            assert sum(c * hook_syt_count(la) for la, c in terms.items()) == want
-            assert list(terms) == sorted(terms, key=sort_key)
+            assert_product_dimension(*pair)
+    # the square of the staircase, degree 42
+    stair = (6, 5, 4, 3, 2, 1)
+    assert len(assert_product_dimension(stair, stair)) == 10873
     assert skew_syt_count((3, 2), (1,)) == 5 and hook_syt_count((3, 2)) == 5
+
+
+def assert_product_dimension(mu, nu):
+    terms = _mul_pair(mu, nu)
+    want = comb(size(mu) + size(nu), size(mu)) * hook_syt_count(mu) * hook_syt_count(nu)
+    assert sum(c * hook_syt_count(la) for la, c in terms.items()) == want
+    assert list(terms) == sorted(terms, key=sort_key)
+    return terms
+
+
+@pytest.mark.parametrize("j", range(7))
+def test_packed_content_holds_a_full_count(j):
+    # a row of n = 2**j cells puts n into one field of the packed content,
+    # which takes every one of the n.bit_length() bits; the Pieri rule
+    # gives h_a h_(n-a) and e_a e_(n-a)
+    n = 2 ** j
+    assert dict(_skew((n,), ())) == {(n,): 1}
+    assert dict(_skew((1,) * n, ())) == {(1,) * n: 1}
+    for a in range(n + 1):
+        h_a, h_b = (a,) if a else (), (n - a,) if n - a else ()
+        rows = {tuple(x for x in (n - k, k) if x): 1 for k in range(min(a, n - a) + 1)}
+        assert dict(_mul_pair(*sorted((h_a, h_b)))) == rows
+        cols = {transpose(la): 1 for la in rows}
+        assert dict(_mul_pair(*sorted((transpose(h_a), transpose(h_b))))) == cols
 
 
 @pytest.mark.parametrize("table, args, key", [
