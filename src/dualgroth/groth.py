@@ -213,12 +213,9 @@ def schur_to_g(f):
     """Expand a SymFunc over the g basis; returns {partition: TPoly}.
 
     s_sigma = sum_la (-1)^{|sigma/la|} N_{la,sigma} g_la (Lenart): one row
-    of _strict per term, summed as integers per distinct coefficient of f.
+    of _strict per term, scaled by its coefficient in f.
     """
-    rows = {}
-    for sigma, c in f.terms.items():
-        add_terms(rows.setdefault(c, {}), _strict(sigma, len(sigma) - 1).items())
-    return sum_rows(rows)
+    return sum_rows([(c, _strict(sigma, len(sigma) - 1)) for sigma, c in f.terms.items()])
 
 
 @cache

@@ -31,12 +31,9 @@ def perp(F, f):
     if F.cap < f.degree():
         raise ValueError("series cap %d is below the argument degree %d"
                          % (F.cap, f.degree()))
-    rows = {}
-    for sigma, c in f.terms.items():
-        for tau, a in F.terms.items():
-            if contains(tau, sigma):
-                add_terms(rows.setdefault(c * a, {}), _skew(sigma, tau).items())
-    return f._like(sum_rows(rows))
+    return f._like(sum_rows([(c * a, _skew(sigma, tau))
+                             for sigma, c in f.terms.items()
+                             for tau, a in F.terms.items() if contains(tau, sigma)]))
 
 
 def H_perp(t_param, f):
@@ -229,13 +226,10 @@ def skew_pieri(k, mu, nu):
 
 
 def expand_skew_sum(formal):
-    """Evaluate a formal {(la, eta): int} sum into a SymFunc: the integer
-    weights are summed per distinct Schur coefficient of the g_skew terms."""
-    rows = {}
-    for (la, eta), c in formal.items():
-        for mu, k in g_skew(la, eta).terms.items():
-            add_terms(rows.setdefault(k, {}), ((mu, c),))
-    return SymFunc()._like(sum_rows(rows))
+    """Evaluate a formal {(la, eta): int} sum into a SymFunc: each Schur
+    coefficient k of a g_skew term scales the one-entry table {mu: c}."""
+    return SymFunc()._like(sum_rows([(k, {mu: c}) for (la, eta), c in formal.items()
+                                     for mu, k in g_skew(la, eta).terms.items()]))
 
 
 def tilde_c(la, mu, nu):

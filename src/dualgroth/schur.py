@@ -176,18 +176,16 @@ def _coproduct_pairs(sigma):
 
 
 def _lr_rows(f, g, cap=None):
-    """The Schur product of the term dicts f and g as sum_rows rows: the
-    LR multiplicities of every pair (mu, nu) summed as ints under a * b,
-    skipping the pairs of degree above cap when a cap is given.
+    """The Schur product of the term dicts f and g as sum_rows pairs: the
+    LR table of every pair (mu, nu) under a * b, skipping the pairs of
+    degree above cap when a cap is given.
     """
-    rows = {}
+    pairs = []
     for mu, a in f.items():
         room = None if cap is None else cap - size(mu)
-        for nu, b in g.items():
-            if room is not None and size(nu) > room:
-                continue
-            add_terms(rows.setdefault(a * b, {}), _mul_pair(*sorted((mu, nu))).items())
-    return rows
+        pairs += [(a * b, _mul_pair(*sorted((mu, nu)))) for nu, b in g.items()
+                  if room is None or size(nu) <= room]
+    return pairs
 
 
 class SymFunc(LinComb):
@@ -267,15 +265,12 @@ class TensorElem(LinComb):
 
     def __mul__(self, other):
         """Componentwise product (a (x) b)(c (x) d) = ac (x) bd, bilinearly."""
-        rows = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                left = _mul_pair(*sorted((m1, m2)))
-                right = _mul_pair(*sorted((n1, n2)))
-                add_terms(rows.setdefault(c1 * c2, {}),
-                          (((lm, ln), km * kn) for lm, km in left.items()
-                           for ln, kn in right.items()))
-        return self._like(sum_rows(rows))
+        pairs = [(c1 * c2, {(lm, ln): km * kn
+                            for lm, km in _mul_pair(*sorted((m1, m2))).items()
+                            for ln, kn in _mul_pair(*sorted((n1, n2))).items()})
+                 for (m1, n1), c1 in self.terms.items()
+                 for (m2, n2), c2 in other.terms.items()]
+        return self._like(sum_rows(pairs))
 
     def swap(self):
         return self._like({(nu, mu): c for (mu, nu), c in self.terms.items()})
@@ -288,10 +283,8 @@ class TensorElem(LinComb):
 
 def coproduct(f):
     """Coproduct of f, linearly extended from the Schur rule."""
-    rows = {}
-    for sigma, c in f.terms.items():
-        add_terms(rows.setdefault(c, {}), _coproduct_pairs(sigma).items())
-    return TensorElem()._like(sum_rows(rows))
+    return TensorElem()._like(sum_rows([(c, _coproduct_pairs(sigma))
+                                        for sigma, c in f.terms.items()]))
 
 
 def antipode(f):
@@ -489,10 +482,8 @@ def to_polynomial(f, n):
     """Evaluate a SymFunc in the variables x_1..x_n."""
     if n < 1:
         raise ValueError("need at least one variable")
-    rows = {}
-    for la, c in f.terms.items():
-        add_terms(rows.setdefault(c, {}), ssyt_poly(la, n).items())
-    return MultiPoly(n)._like(sum_rows(rows))
+    return MultiPoly(n)._like(sum_rows([(c, ssyt_poly(la, n))
+                                        for la, c in f.terms.items()]))
 
 
 def from_polynomial(p):

@@ -1,5 +1,11 @@
 """Canonical JSON forms: partitions as integer arrays, coefficients as
 canonical polynomial text, terms in the global partition order.
+
+term_list reaches that order (partitions.sort_key: size ascending,
+reverse-lex within a size) with two C-level sorts and no Python key: a
+reverse sort of the tuples, then a stable sort by size.  Two distinct
+partitions of one size differ at some first part, so the tuple order
+within a size is exactly reverse-lex.
 """
 
 import json
@@ -8,7 +14,8 @@ from .partitions import sort_key
 
 
 def term_list(terms):
-    keys = sorted(terms, key=sort_key)
+    keys = sorted(terms, reverse=True)
+    keys.sort(key=sum)
     return [{"partition": list(la), "coeff": terms[la].text()} for la in keys]
 
 

@@ -12,10 +12,10 @@ add_terms and LinComb hold every finite combination with TPoly
 coefficients: Schur expansions, truncated series, tensor-square elements
 and MultiPoly, which evaluates symmetric generating functions in finitely
 many variables x_1..x_n.  A builder that scales integer tables (LR
-products, skew expansions, Schur polynomials) sums the tables as ints per
-distinct coefficient and hands the rows to sum_rows, the one place that
-multiplies them out: one TPoly product per (coefficient, key), not one per
-table entry.
+products, skew expansions, Schur polynomials, s -> g rows) hands sum_rows
+its (coefficient, table) pairs, the cached tables as they are; sum_rows
+adds them as ints, one slice per power of t, and builds one TPoly per
+output key, with no TPoly product per table entry or per coefficient.
 """
 
 from math import factorial
@@ -155,8 +155,8 @@ class TPoly:
 
     def text(self):
         """Canonical text, highest power first: ``t^3-3*t^2+3*t-1``."""
-        if not self.coeffs:
-            return "0"
+        if len(self.coeffs) <= 1:
+            return str(self.coeffs[0]) if self.coeffs else "0"
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
@@ -232,8 +232,7 @@ def add_terms(acc, pairs):
     """Add (key, coefficient) pairs into the dict acc and return it.
 
     Coefficients are ints or TPolys; a key whose coefficient cancels is
-    dropped, so acc never holds a zero.  On int multiplicities it fills
-    the rows that sum_rows scales.
+    dropped, so acc never holds a zero.
     """
     get = acc.get
     for key, c in pairs:
@@ -250,16 +249,37 @@ def add_terms(acc, pairs):
     return acc
 
 
-def sum_rows(rows):
-    """The dict sum over c of c * row, for rows {c: {key: int}} keyed by
-    nonzero TPolys; a key whose terms cancel is dropped.
+def sum_rows(pairs):
+    """The dict sum of c * table over (c, table) pairs, for nonzero TPolys
+    c (repeats allowed) and mappings table: key -> int; a key whose terms
+    cancel is dropped.
 
-    Callers fill each row with add_terms on int multiplicities, one row
-    per distinct coefficient, so a key costs one TPoly product per row
-    that holds it.
+    Each table is added straight into per-key int slices, one per power of
+    t: a constant c touches one slice, c = sum a_d t^d one per nonzero a_d.
+    Each key's TPoly is then built once from its slices, so no TPoly
+    arithmetic runs here.
     """
-    return add_terms({}, ((key, c * k) for c, row in rows.items()
-                          for key, k in row.items()))
+    slices = []
+    for c, table in pairs:
+        for d, a in enumerate(c.coeffs):
+            if not a:
+                continue
+            while len(slices) <= d:
+                slices.append({})
+            s = slices[d]
+            get = s.get
+            for key, k in table.items():
+                s[key] = get(key, 0) + a * k
+    if len(slices) == 1:
+        return {key: _mk((v,)) for key, v in slices[0].items() if v}
+    out = {}
+    for key in {key: None for s in slices for key in s}:
+        cs = [s.get(key, 0) for s in slices]
+        while cs and not cs[-1]:
+            cs.pop()
+        if cs:
+            out[key] = _mk(tuple(cs))
+    return out
 
 
 class LinComb:

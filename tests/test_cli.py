@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,6 +8,9 @@ import time
 import pytest
 
 from dualgroth import cli, suites
+from dualgroth.partitions import partitions_up_to, sort_key
+from dualgroth.serialize import term_list
+from dualgroth.tpoly import ONE
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +30,49 @@ def test_expand_to_g_golden(capsys):
         {"partition": [3, 2], "coeff": "1"},
         {"partition": [3, 1, 1], "coeff": "1"},
         {"partition": [2, 2, 1], "coeff": "1"}]}]
+
+
+# Whole output lines, byte for byte: a key that cancels, a coefficient
+# whose t-part cancels to a constant, and perps at t and at -1.
+GOLDEN = [
+    (("expand", "--to", "s", "(s[2]-s[1,1])*s[1]"),
+     '{"basis":"s","terms":[{"partition":[3],"coeff":"1"},'
+     '{"partition":[1,1,1],"coeff":"-1"}]}'),
+    (("expand", "--to", "s", "(t*s[2]+s[1,1]-t*s[1,1])*s[1]"),
+     '{"basis":"s","terms":[{"partition":[3],"coeff":"t"},'
+     '{"partition":[2,1],"coeff":"1"},{"partition":[1,1,1],"coeff":"-t+1"}]}'),
+    (("expand", "--to", "g", "(t*s[2]+s[1,1]-t*s[1,1])*s[1]"),
+     '{"basis":"g","terms":[{"partition":[1],"coeff":"-t+1"},'
+     '{"partition":[2],"coeff":"-1"},{"partition":[1,1],"coeff":"2*t-2"},'
+     '{"partition":[3],"coeff":"t"},{"partition":[2,1],"coeff":"1"},'
+     '{"partition":[1,1,1],"coeff":"-t+1"}]}'),
+    (("apply", "--op", "Hperp", "--t", "t", "--to", "s", "s[3,2,1]-2*s[2,1]"),
+     '{"basis":"s","terms":[{"partition":[1],"coeff":"-2*t^2"},'
+     '{"partition":[2],"coeff":"-2*t"},{"partition":[1,1],"coeff":"-2*t"},'
+     '{"partition":[2,1],"coeff":"t^3-2"},{"partition":[3,1],"coeff":"t^2"},'
+     '{"partition":[2,2],"coeff":"t^2"},{"partition":[2,1,1],"coeff":"t^2"},'
+     '{"partition":[3,2],"coeff":"t"},{"partition":[3,1,1],"coeff":"t"},'
+     '{"partition":[2,2,1],"coeff":"t"},{"partition":[3,2,1],"coeff":"1"}]}'),
+    (("apply", "--op", "Eperp", "--t", "-1", "--to", "g", "g[3,1]"),
+     '{"basis":"g","terms":[{"partition":[2],"coeff":"1"},'
+     '{"partition":[3],"coeff":"-1"},{"partition":[2,1],"coeff":"-1"},'
+     '{"partition":[3,1],"coeff":"1"}]}'),
+]
+
+
+@pytest.mark.parametrize("argv,text", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output_bytes(capsys, argv, text):
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out == text + "\n"
+
+
+def test_term_list_order_is_sort_key_order():
+    pool = partitions_up_to(7)
+    rng = random.Random(37)
+    for _ in range(200):
+        keys = rng.sample(pool, rng.randint(0, 30)) + [()] * rng.randint(0, 1)
+        got = [tuple(e["partition"]) for e in term_list(dict.fromkeys(keys, ONE))]
+        assert got == sorted(set(keys), key=sort_key)
 
 
 def test_expand_examples(capsys):

@@ -16,7 +16,9 @@ from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
                              lr_coeff, p_gen, phi_t, raw_is_symmetric,
                              schur, schur_expand_raw, series_mul, ssyt_poly,
                              to_polynomial, truncate)
-from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO, add_terms
+from dualgroth.groth import _strict, schur_to_g
+from dualgroth.operators import perp
+from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO, add_terms, sum_rows
 
 
 def random_symfunc(rng, max_deg, nterms=3, with_t=False):
@@ -453,9 +455,9 @@ def test_series_scale_and_coeff():
     assert F.coeff((1, 1)) == ZERO
 
 
-# Per-term oracles for the builders that group integer multiplicities per
-# distinct coefficient (tpoly.sum_rows): the same sums with one TPoly
-# product per table entry.
+# Per-term oracles for the builders that hand (coefficient, integer table)
+# pairs to tpoly.sum_rows, which adds the tables as int slices per power of
+# t: the same sums with one TPoly product per table entry.
 
 def _lr_terms_per_term(f, g, cap=None):
     for mu, a in f.items():
@@ -471,6 +473,44 @@ def assert_same_terms(got, want):
     assert got == want
     for c in got.values():
         assert type(c) is TPoly and c.coeffs and c.coeffs[-1] != 0
+
+
+def _sum_rows_per_term(pairs):
+    return add_terms({}, ((key, c * k) for c, table in pairs for key, k in table.items()))
+
+
+def test_sum_rows_matches_per_term_oracle():
+    assert sum_rows([]) == {}
+    got = sum_rows([(ONE + T, {"a": 1}), (-T, {"a": 1})])
+    assert got["a"].coeffs == (1,)
+    assert_same_terms(got, {"a": ONE})
+    assert sum_rows([(T, {"a": 2}), (-T, {"a": 2})]) == {}
+    # constants, t-polynomials with zero low-order coefficients, repeats
+    pool = [ONE, -ONE, TPoly.const(3), T, -T, T ** 3, ONE + T,
+            T ** 2 * 2 - ONE, -(T ** 3) + T ** 2]
+    rng = random.Random(31)
+    for _ in range(400):
+        pairs = [(rng.choice(pool), {rng.randrange(6): rng.randint(-3, 3)
+                                     for _ in range(rng.randint(0, 4))})
+                 for _ in range(rng.randint(0, 6))]
+        assert_same_terms(sum_rows(pairs), _sum_rows_per_term(pairs))
+
+
+def test_sum_rows_leaves_cached_tables_unchanged():
+    mu, nu, sigma = (2, 1), (2,), (3, 2, 1)
+    reads = [lambda: _mul_pair(nu, mu), lambda: _skew(sigma, (1,)),
+             lambda: _strict(sigma, 2)]
+    tables = [read() for read in reads]
+    before = [dict(table) for table in tables]
+    pairs = [(T, tables[0]), (-ONE, tables[0]), (ONE + T, tables[1]),
+             (T ** 3, tables[1]), (TPoly.const(2), tables[2])]
+    assert_same_terms(sum_rows(pairs), _sum_rows_per_term(pairs))
+    # the builders that read the same cached tables
+    f = (schur(mu) - schur(nu)).scale(T) + schur(sigma)
+    f * f
+    perp(H_series(6, T), f)
+    schur_to_g(f)
+    assert [dict(read()) for read in reads] == before
 
 
 def cancelling_pairs(max_size):

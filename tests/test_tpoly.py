@@ -59,6 +59,8 @@ def test_canonical_text():
     assert (T * (T + ONE)).text() == "t^2+t"
     assert ((T - ONE) ** 3).text() == "t^3-3*t^2+3*t-1"
     assert (T * -2 + ONE).text() == "-2*t+1"
+    for n in range(-1000, 1001):
+        assert TPoly.const(n).text() == str(n)
 
 
 def test_as_int():
