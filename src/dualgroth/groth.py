@@ -242,7 +242,6 @@ def c_coeff(la, mu, nu):
     return schur_to_g(f).get(tuple(nu), ZERO).as_int()
 
 
-@cache
 def d_coeff(la, mu, nu):
     """Coefficient of g_la in the product g_mu g_nu (an integer).
 

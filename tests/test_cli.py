@@ -320,6 +320,14 @@ def test_large_row_product_is_pieri(capsys):
         ([120 - i, i] if i else [120], "1") for i in range(61))
 
 
+def test_lr_constant_on_long_rows():
+    # one skew table read: nothing recurses once per cell
+    code, out, err = _fresh_cli("constants", "--family", "lr", "--lambda",
+                                "[2000]", "--mu", "[1000]", "--nu", "[1000]")
+    assert (code, err) == (0, "")
+    assert '"value":1}' in out
+
+
 @pytest.mark.parametrize("expr, to", [
     ("e1200", "g"),
     ("g[%s]" % ",".join(["1"] * 1200), "s"),

@@ -13,9 +13,9 @@ from dualgroth.partitions import (contains, interval, is_rook_strip, mobius,
                                   partitions_of, partitions_up_to, size,
                                   subpartitions)
 from dualgroth.schur import (E_series, H_series, SymFunc, TruncSeries, _skew,
-                             e_gen, h_gen, hall, lr_coeff, p_gen, schur,
-                             series_mul)
+                             e_gen, h_gen, hall, p_gen, schur, series_mul)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
+from lr_oracle import lr_scan
 
 
 def as_int_dict(expansion):
@@ -99,7 +99,7 @@ def _coproduct_scan_perp(F, f):
             if tau not in F.terms:
                 continue
             for rho in partitions_of(size(sigma) - size(tau)):
-                k = lr_coeff(sigma, tau, rho)
+                k = lr_scan(sigma, tau, rho)
                 if k:
                     out[rho] = out.get(rho, ZERO) + c * F.terms[tau] * k
     return SymFunc(out)

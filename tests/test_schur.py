@@ -19,6 +19,7 @@ from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
 from dualgroth.groth import _strict, schur_to_g
 from dualgroth.operators import perp
 from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO, add_terms, sum_rows
+from lr_oracle import lr_scan
 
 
 def random_symfunc(rng, max_deg, nterms=3, with_t=False):
@@ -63,18 +64,44 @@ def test_lr_symmetries_up_to_6():
         n = size(la)
         for mu in subpartitions(la):
             for nu in partitions_of(n - size(mu)):
-                c = lr_coeff(la, mu, nu)
-                assert c == lr_coeff(la, nu, mu)
-                assert c == lr_coeff(transpose(la), transpose(mu), transpose(nu))
+                c = lr_scan(la, mu, nu)
+                assert c == lr_scan(la, nu, mu)
+                assert c == lr_scan(transpose(la), transpose(mu), transpose(nu))
+
+
+def staircase(n):
+    return tuple(range(n, 0, -1))
+
+
+def test_lr_coeff_matches_scan():
+    # every triple with |la| <= 8 and |mu| + |nu| <= 9, size mismatches and
+    # factors outside la included
+    for la in partitions_up_to(8):
+        for mu in partitions_up_to(9):
+            for nu in partitions_up_to(9 - size(mu)):
+                assert lr_coeff(la, mu, nu) == lr_scan(la, mu, nu), (la, mu, nu)
+    for la, mu, nu, value in [
+            (staircase(8), (4, 3, 2, 1), (7, 6, 5, 4, 3, 1), 120),
+            (staircase(8), staircase(5), staircase(6), 640),
+            (staircase(9), staircase(6), (7, 6, 5, 3, 2, 1), 3700),
+            (staircase(10), staircase(5), (10, 8, 7, 6, 5, 4), 120)]:
+        assert lr_coeff(la, mu, nu) == lr_scan(la, mu, nu) == value
+    # the scan's value, pinned: the scan takes about 0.4 s here
+    assert lr_coeff(staircase(10), staircase(7), (7, 6, 5, 4, 3, 2)) == 36624
+    # long rows and columns, past the scan's recursion limit
+    column = (1,) * 1000
+    assert lr_coeff((2000,), (1000,), (1000,)) == 1
+    assert lr_coeff(column * 2, column, column) == 1
+    assert lr_coeff((2000,), (1000,), (999,)) == 0
 
 
 def test_mul_pair_matches_lr_scan_up_to_8():
-    # oracle: lr_coeff on every partition of |mu| + |nu|
+    # oracle: the scan on every partition of |mu| + |nu|
     for n in range(9):
         for m in range(n + 1):
             for mu in partitions_of(m):
                 for nu in partitions_of(n - m):
-                    scan = {la: lr_coeff(la, mu, nu) for la in partitions_of(n)
+                    scan = {la: lr_scan(la, mu, nu) for la in partitions_of(n)
                             if contains(mu, la) and contains(nu, la)}
                     want = {la: c for la, c in scan.items() if c}
                     assert dict(_mul_pair(mu, nu)) == want
@@ -88,18 +115,18 @@ def test_coproduct_pairs_match_scan_up_to_8():
         for tau in subpartitions(sigma):
             for rho in partitions_of(size(sigma) - size(tau)):
                 if contains(rho, sigma):
-                    c = lr_coeff(sigma, tau, rho)
+                    c = lr_scan(sigma, tau, rho)
                     if c:
                         want[(tau, rho)] = c
         assert dict(_coproduct_pairs(sigma)) == want
 
 
 def test_skew_matches_lr_scan_up_to_9():
-    # oracle: lr_coeff on every partition of the complementary size, whose
+    # oracle: the scan on every partition of the complementary size, whose
     # canonical order the transfer's output keeps
     for sigma in partitions_up_to(9):
         for tau in subpartitions(sigma):
-            scan = {rho: lr_coeff(sigma, tau, rho)
+            scan = {rho: lr_scan(sigma, tau, rho)
                     for rho in partitions_of(size(sigma) - size(tau))}
             want = [(rho, c) for rho, c in scan.items() if c]
             assert list(_skew(sigma, tau).items()) == want
@@ -131,7 +158,7 @@ def hook_syt_count(la):
 
 
 def test_skew_and_products_at_pushed_sizes_by_dimension():
-    # too large for the lr_coeff scan; counting standard fillings gives
+    # too large for the lattice-word scan; counting standard fillings gives
     # sum_rho c_rho f^rho = f^{sigma/tau} and, for products,
     # sum_la c_la f^la = C(n, |mu|) f^mu f^nu
     sigma, tau = (8, 7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1)
@@ -445,7 +472,7 @@ def test_group_like_condition_via_lr_oracle():
             for la in partitions_of(size(mu) + size(nu)):
                 c = F.coeff(la)
                 if not c.is_zero():
-                    rhs = rhs + c * lr_coeff(la, mu, nu)
+                    rhs = rhs + c * lr_scan(la, mu, nu)
             assert lhs == rhs
 
 
