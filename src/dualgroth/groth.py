@@ -7,14 +7,17 @@ containing the entry i.  That column-counting weight is what makes g
 inhomogeneous.  Rows and columns that hold no cell change neither the
 fillings nor their weights (the conditions tie only row and column
 neighbours, and the weight counts per column), so g_skew first deletes
-them (partitions.skew_normal_form) and builds each diagram once.  A
-straight g_la is built directly in the Schur basis from elegant
-fillings (Lam-Pylyavskyy, arXiv:0705.2189, Thm 9.8); a skew g is the
-reverse-plane-partition sum, evaluated by a left-to-right column
-transfer in the form of schur._skew and lifted to the Schur basis.  The
-inverse side, s -> g and the series G_la dual to g, reads the rows and
-the columns of one table of strict elegant fillings (Lenart, Ann. Comb.
-4 (2000), Thm 2.2).
+them (partitions.skew_normal_form) and builds each diagram once.  Pieces
+that share no row and no column are filled independently and their
+column weights add, so the g of a diagram with three or more rows and
+more than one piece (partitions.skew_pieces) is the product of its
+pieces' g's.  A straight g_la is built directly in the Schur basis from
+elegant fillings (Lam-Pylyavskyy, arXiv:0705.2189, Thm 9.8); any other
+skew g is the reverse-plane-partition sum, evaluated by a left-to-right
+column transfer in the form of schur._skew and lifted to the Schur
+basis.  The inverse side, s -> g and the series G_la dual to g, reads
+the rows and the columns of one table of strict elegant fillings
+(Lenart, Ann. Comb. 4 (2000), Thm 2.2).
 """
 
 from functools import cache
@@ -22,7 +25,7 @@ from itertools import product
 from types import MappingProxyType
 
 from .partitions import (cells, contains, interval, partitions_of_containing,
-                         size, skew_normal_form, transpose)
+                         size, skew_normal_form, skew_pieces, transpose)
 from .schur import SymFunc, TensorElem, TruncSeries, hall, schur_expand_raw
 from .tpoly import ZERO, _coerce, add_terms, sum_rows
 
@@ -179,9 +182,14 @@ def g_skew(outer, inner=()):
     no column, an empty column separates pieces that share no row, and
     deleting either keeps every filling and its weight.  A shape not in
     skew_normal_form therefore returns the cached g of its normal form,
-    and each diagram is built once.  A straight shape la is
+    and each diagram is built once.  A normal-form diagram with three or
+    more rows and more than one piece returns the product of its pieces'
+    cached g's: every row and every column is one run of cells, so pieces
+    that share neither are filled independently and their column weights
+    add.  (A two-row diagram stays on the transfer, whose one variable
+    per row makes it as cheap as the product.)  A straight shape la is
     sum_mu f^mu_la s_mu, where f^mu_la counts the elegant fillings of
-    la/mu.  A skew shape takes the generating polynomial in enough
+    la/mu.  Any other skew shape takes the generating polynomial in enough
     variables to see every Schur component (the expansion of g_{la/mu} is
     supported on subpartitions of la, so min(|la/mu|, rows of la)
     variables suffice) and lifts it; the lift raises ValueError if that
@@ -197,6 +205,12 @@ def g_skew(outer, inner=()):
     if not outer:
         return SymFunc.one().frozen()
     if inner:
+        pieces = skew_pieces(outer, inner) if len(outer) > 2 else ()
+        if len(pieces) > 1:
+            f = g_skew(*pieces[0])
+            for piece in pieces[1:]:
+                f = f * g_skew(*piece)
+            return f.frozen()
         n = min(size(outer) - size(inner), len(outer))
         raw = schur_expand_raw(rpp_generating_poly(outer, inner, n), n)
     else:

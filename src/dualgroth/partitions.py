@@ -94,6 +94,27 @@ def skew_normal_form(outer, inner=()):
     return tuple(out), tuple(x for x in inn if x)
 
 
+def skew_pieces(outer, inner=()):
+    """The connected pieces of a diagram in skew_normal_form, top to bottom,
+    each in normal form.
+
+    Every row and every column of a skew diagram is one run of cells, so
+    rows r-1 and r lie in one piece exactly when they share a column,
+    inner[r-1] < outer[r].  A piece is a run of rows whose columns run
+    without a gap from its bottom row's inner part to its top row's end;
+    moving it left by that inner part puts it in normal form.
+    """
+    padded = inner + (0,) * (len(outer) - len(inner))
+    pieces, top = [], 0
+    for r in range(1, len(outer) + 1):
+        if r == len(outer) or padded[r - 1] >= outer[r]:
+            shift = padded[r - 1]
+            pieces.append((tuple(x - shift for x in outer[top:r]),
+                           tuple(x - shift for x in padded[top:r] if x > shift)))
+            top = r
+    return pieces
+
+
 def _check_skew(outer, inner):
     if not contains(inner, outer):
         raise ValueError("not a skew shape: %s does not contain %s"

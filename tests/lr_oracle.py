@@ -1,10 +1,14 @@
-"""Littlewood-Richardson coefficients by a direct lattice-word scan.
+"""Littlewood-Richardson coefficients by a direct lattice-word scan, and
+counts of standard fillings.
 
 The tests' oracle for the column transfer schur._skew and everything read
-from it: a backtracking search that shares no code with the transfer.
+from it: a backtracking search that shares no code with the transfer.  The
+standard-filling counts check expansions too large for the scan, through
+sum_rho c_rho f^rho = f^{sigma/tau}.
 """
 
 from functools import cache
+from math import factorial
 
 from dualgroth.partitions import contains, size
 
@@ -55,3 +59,27 @@ def lr_scan(la, mu, nu):
 
     fill(0)
     return hits
+
+
+@cache
+def skew_syt_count(sigma, tau=()):
+    """f^{sigma/tau}: standard fillings, by removing the corner holding the
+    largest entry."""
+    if sigma == tau:
+        return 1
+    total = 0
+    for r, part in enumerate(sigma):
+        below = sigma[r + 1] if r + 1 < len(sigma) else 0
+        if part > below and part > (tau[r] if r < len(tau) else 0):
+            rest = sigma[:r] + (part - 1,) + sigma[r + 1:]
+            total += skew_syt_count(tuple(x for x in rest if x), tau)
+    return total
+
+
+def hook_syt_count(la):
+    """f^la by the hook length formula."""
+    hooks = 1
+    for r, part in enumerate(la):
+        for c in range(part):
+            hooks *= part - c + sum(1 for x in la[r + 1:] if x > c)
+    return factorial(size(la)) // hooks

@@ -33,7 +33,8 @@ def test_expand_to_g_golden(capsys):
 
 
 # Whole output lines, byte for byte: a key that cancels, a coefficient
-# whose t-part cancels to a constant, and perps at t and at -1.
+# whose t-part cancels to a constant, perps at t and at -1, and a skew g
+# in two pieces, (2,2)/(1) and (2,1), in both bases.
 GOLDEN = [
     (("expand", "--to", "s", "(s[2]-s[1,1])*s[1]"),
      '{"basis":"s","terms":[{"partition":[3],"coeff":"1"},'
@@ -57,6 +58,25 @@ GOLDEN = [
      '{"basis":"g","terms":[{"partition":[2],"coeff":"1"},'
      '{"partition":[3],"coeff":"-1"},{"partition":[2,1],"coeff":"-1"},'
      '{"partition":[3,1],"coeff":"1"}]}'),
+    (("expand", "--to", "s", "g[4,4,2,1]/[3,2]"),
+     '{"basis":"s","terms":[{"partition":[4],"coeff":"1"},'
+     '{"partition":[3,1],"coeff":"1"},{"partition":[2,2],"coeff":"1"},'
+     '{"partition":[4,1],"coeff":"2"},{"partition":[3,2],"coeff":"2"},'
+     '{"partition":[3,1,1],"coeff":"2"},{"partition":[2,2,1],"coeff":"2"},'
+     '{"partition":[4,2],"coeff":"1"},{"partition":[4,1,1],"coeff":"1"},'
+     '{"partition":[3,3],"coeff":"1"},{"partition":[3,2,1],"coeff":"2"},'
+     '{"partition":[3,1,1,1],"coeff":"1"},{"partition":[2,2,2],"coeff":"1"},'
+     '{"partition":[2,2,1,1],"coeff":"1"}]}'),
+    (("expand", "--to", "g", "g[4,4,2,1]/[3,2]"),
+     '{"basis":"g","terms":[{"partition":[2,1],"coeff":"-1"},'
+     '{"partition":[3,1],"coeff":"2"},{"partition":[2,2],"coeff":"1"},'
+     '{"partition":[2,1,1],"coeff":"2"},{"partition":[4,1],"coeff":"-1"},'
+     '{"partition":[3,2],"coeff":"-3"},{"partition":[3,1,1],"coeff":"-3"},'
+     '{"partition":[2,2,1],"coeff":"-3"},{"partition":[2,1,1,1],"coeff":"-1"},'
+     '{"partition":[4,2],"coeff":"1"},{"partition":[4,1,1],"coeff":"1"},'
+     '{"partition":[3,3],"coeff":"1"},{"partition":[3,2,1],"coeff":"2"},'
+     '{"partition":[3,1,1,1],"coeff":"1"},{"partition":[2,2,2],"coeff":"1"},'
+     '{"partition":[2,2,1,1],"coeff":"1"}]}'),
 ]
 
 

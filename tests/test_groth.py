@@ -4,11 +4,13 @@ from dualgroth import groth
 from dualgroth.groth import (G_truncated, c_coeff, d_coeff, enumerate_rpp,
                              g_coproduct, g_skew, g_to_schur,
                              rpp_generating_poly, rpp_weight, schur_to_g)
-from dualgroth.partitions import (contains, partitions_of_containing,
-                                  partitions_up_to, size, subpartitions)
+from dualgroth.partitions import (column_count, contains,
+                                  partitions_of_containing, partitions_up_to,
+                                  size, subpartitions)
 from dualgroth.schur import (SymFunc, TensorElem, hall, schur,
-                             schur_expand_raw, raw_is_symmetric)
+                             schur_expand_raw, raw_is_symmetric, to_polynomial)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
+from lr_oracle import hook_syt_count, skew_syt_count
 
 
 def as_int_dict(expansion):
@@ -93,8 +95,9 @@ def test_skew_g_lift_rejects_asymmetric_transfer(monkeypatch):
 
 
 def test_skew_g_matches_transfer_on_the_original_shape_up_to_9():
-    # g_skew builds the normal form; the transfer and lift run on the
-    # shape as given, empty rows and columns included
+    # g_skew builds the normal form, or the product of its pieces; the
+    # transfer and lift run on the shape as given, empty rows and columns
+    # included
     for la in partitions_up_to(9):
         for mu in subpartitions(la):
             ncells = size(la) - size(mu)
@@ -103,6 +106,45 @@ def test_skew_g_matches_transfer_on_the_original_shape_up_to_9():
             n = min(ncells, len(la))
             raw = rpp_generating_poly(la, mu, n)
             assert as_int_dict(g_skew(la, mu).terms) == schur_expand_raw(raw, n), (la, mu)
+
+
+def test_disconnected_diagram_is_the_product_of_its_pieces(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:2])
+        return rpp_generating_poly(*args)
+
+    monkeypatch.setattr(groth, "rpp_generating_poly", counting)
+    g_skew.cache_clear()
+    try:
+        # three or more rows: the product of the pieces' g's
+        assert g_skew((3, 1, 1), (1,)) == g_to_schur((2,)) * g_to_schur((1, 1))
+        assert g_skew((3, 2, 1), (2, 1)) == schur((1,)) * schur((1,)) * schur((1,))
+        assert g_skew((3, 3, 1), (2, 1)) == g_skew((2, 2), (1,)) * schur((1,))
+        assert calls == [((2, 2), (1,))]
+        # a two-row or a connected diagram keeps the transfer
+        g_skew((2, 1), (1,))
+        g_skew((3, 2, 1), (1,))
+        assert calls[1:] == [((2, 1), (1,)), ((3, 2, 1), (1,))]
+    finally:
+        g_skew.cache_clear()
+
+
+@pytest.mark.parametrize("outer,inner", [((2,) + (1,) * 16, (1,)),
+                                         ((3,) + (1,) * 12, (1, 1))])
+def test_pushed_disconnected_g_by_invariants(outer, inner):
+    # too tall for the transfer (17 s on the first shape); checked by
+    # invariants that read neither the transfer nor the pieces
+    g = g_skew(outer, inner)
+    # in one variable every entry is 1, one x per column
+    assert to_polynomial(g, 1).terms == {(column_count(outer, inner),): ONE}
+    # g_nu(1) = 1 for every nu, so the g-coefficients sum to g(1) = 1
+    assert sum(c.as_int() for c in schur_to_g(g).values()) == 1
+    # the top-degree part is the skew Schur function s_{outer/inner}
+    ncells = size(outer) - size(inner)
+    assert sum(c.as_int() * hook_syt_count(nu) for nu, c in g.terms.items()
+               if size(nu) == ncells) == skew_syt_count(outer, inner)
 
 
 def _translated(la, mu, k, j):

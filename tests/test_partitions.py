@@ -7,8 +7,8 @@ from dualgroth.partitions import (a_statistic, as_partition, cells,
                                   is_horizontal_strip, is_rook_strip,
                                   is_vertical_strip, mobius, parse_partition,
                                   partitions_of, partitions_up_to, size,
-                                  skew_normal_form, sort_key, strip_kind,
-                                  subpartitions, transpose,
+                                  skew_normal_form, skew_pieces, sort_key,
+                                  strip_kind, subpartitions, transpose,
                                   vertical_strip_additions,
                                   vertical_strip_removals)
 
@@ -55,8 +55,11 @@ def test_column_count_examples():
 
 
 def _normal_form_by_cells(outer, inner):
+    return _normalize_cells(cells(outer, inner))
+
+
+def _normalize_cells(shape):
     # delete the empty rows and columns of the cell set and reindex
-    shape = cells(outer, inner)
     rows = {r: i for i, r in enumerate(sorted({r for r, c in shape}))}
     cols = {c: j for j, c in enumerate(sorted({c for r, c in shape}))}
     out, inn = [0] * len(rows), [None] * len(rows)
@@ -86,6 +89,60 @@ def test_skew_normal_form_examples():
     assert skew_normal_form((3, 2, 1), (1,)) == ((3, 2, 1), (1,))
     with pytest.raises(ValueError):
         skew_normal_form((2,), (3,))
+
+
+def _pieces_by_cells(outer, inner):
+    # the classes of the cells under row and column adjacency, top to bottom
+    todo, pieces = set(cells(outer, inner)), []
+    for start in sorted(todo):
+        if start not in todo:
+            continue
+        todo.discard(start)
+        stack, piece = [start], []
+        while stack:
+            r, c = stack.pop()
+            piece.append((r, c))
+            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if nb in todo:
+                    todo.discard(nb)
+                    stack.append(nb)
+        pieces.append(_normalize_cells(piece))
+    return pieces
+
+
+def test_skew_pieces_examples():
+    assert skew_pieces((2, 1), (1,)) == [((1,), ()), ((1,), ())]
+    assert skew_pieces((3, 1, 1, 1, 1, 1), (1,)) == [((2,), ()), ((1,) * 5, ())]
+    assert skew_pieces((2, 2), (1,)) == [((2, 2), (1,))]
+    assert skew_pieces((3, 2, 1), (2, 1)) == [((1,), ())] * 3
+    assert skew_pieces((4, 3, 1), (3,)) == [((1,), ()), ((3, 1), ())]
+    assert skew_pieces((3, 3, 1), (2, 1)) == [((2, 2), (1,)), ((1,), ())]
+    assert skew_pieces((), ()) == []
+
+
+def test_skew_pieces_are_the_connected_pieces_up_to_9():
+    diagrams = {skew_normal_form(la, mu) for la in partitions_up_to(9)
+                for mu in subpartitions(la)} - {((), ())}
+    assert len(diagrams) == 319
+    for outer, inner in diagrams:
+        pieces = skew_pieces(outer, inner)
+        assert pieces == _pieces_by_cells(outer, inner), (outer, inner)
+        # the pieces stack row by row and their cells partition the diagram
+        assert sum(len(o) for o, _ in pieces) == len(outer)
+        assert (sum(size(o) - size(i) for o, i in pieces)
+                == size(outer) - size(inner))
+        for piece in pieces:
+            assert skew_normal_form(*piece) == piece
+            assert skew_pieces(*piece) == [piece]
+        # rows that share a column are never cut
+        cuts, r = set(), 0
+        for o, _ in pieces[:-1]:
+            r += len(o)
+            cuts.add(r)
+        padded = inner + (0,) * (len(outer) - len(inner))
+        for r in range(1, len(outer)):
+            if padded[r - 1] < outer[r]:
+                assert r not in cuts, (outer, inner, r)
 
 
 def test_strip_kind_examples():

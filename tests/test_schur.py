@@ -1,7 +1,6 @@
 import random
-from functools import cache
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb
 from types import ModuleType
 
 import pytest
@@ -19,7 +18,7 @@ from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
 from dualgroth.groth import _strict, schur_to_g
 from dualgroth.operators import perp
 from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO, add_terms, sum_rows
-from lr_oracle import lr_scan
+from lr_oracle import hook_syt_count, lr_scan, skew_syt_count
 
 
 def random_symfunc(rng, max_deg, nterms=3, with_t=False):
@@ -131,30 +130,6 @@ def test_skew_matches_lr_scan_up_to_9():
             want = [(rho, c) for rho, c in scan.items() if c]
             assert list(_skew(sigma, tau).items()) == want
     assert not _skew((2, 1), (3,)) and not _skew((2, 1), (1, 1, 1))
-
-
-@cache
-def skew_syt_count(sigma, tau=()):
-    """f^{sigma/tau}: standard fillings, by removing the corner holding the
-    largest entry."""
-    if sigma == tau:
-        return 1
-    total = 0
-    for r, part in enumerate(sigma):
-        below = sigma[r + 1] if r + 1 < len(sigma) else 0
-        if part > below and part > (tau[r] if r < len(tau) else 0):
-            rest = sigma[:r] + (part - 1,) + sigma[r + 1:]
-            total += skew_syt_count(tuple(x for x in rest if x), tau)
-    return total
-
-
-def hook_syt_count(la):
-    """f^la by the hook length formula."""
-    hooks = 1
-    for r, part in enumerate(la):
-        for c in range(part):
-            hooks *= part - c + sum(1 for x in la[r + 1:] if x > c)
-    return factorial(size(la)) // hooks
 
 
 def test_skew_and_products_at_pushed_sizes_by_dimension():
