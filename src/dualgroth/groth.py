@@ -74,26 +74,18 @@ def rpp_weight(filling):
     return weight
 
 
-def rpp_generating_poly(outer, inner, nvars):
-    """Sum of x^T over reverse plane partitions with entries <= nvars, as a
-    raw {exponent: int} dict.
+def _rpp_packed(outer, inner, nvars):
+    """The packed core of rpp_generating_poly: (bits, {packed exponent:
+    count}), where the exponent of x_v (v = 1..nvars) is field v-1 of
+    `bits` bits, that is (packed >> bits * (v-1)) & (2**bits - 1).
 
-    Column transfer, left to right, in the form of schur._skew.  A state is
-    the finished column's entries on the rows the next column shares (from
-    this column's top row down to the next column's bottom; none if that
-    range is empty) and carries one polynomial.  Each filling of the next
-    column weakly increases downwards, and an entry is at least the entry
-    above, at least its left neighbour where one exists, and at most nvars.
-    Fillings that agree on the kept entries and on their set of distinct
-    values are counted together and shift the state's polynomial by one x_v
-    per distinct value v.  Equal states merge; the result is the sum over
-    the final states.  Agrees with summing rpp_weight over enumerate_rpp.
-    Exponents are packed into one int, a field of `bits` bits per variable
-    (an exponent is at most the number of columns), so a shift is one
-    addition.
+    An exponent is at most the number of columns, and bits is that
+    number's bit length, so every field holds its exponent and the
+    packing is injective.  A caller that packs other polynomials in the
+    same layout must check that their exponents fit too.
     """
     if not contains(inner, outer):
-        return {}
+        return 0, {}
     cols, tops = transpose(outer), transpose(inner)
     bits = len(cols).bit_length()
     unit = [0] + [1 << bits * i for i in range(nvars)]
@@ -118,16 +110,45 @@ def rpp_generating_poly(outer, inner, nvars):
                 fills = nxt
             for (kept, _, mono), k in fills.items():
                 tgt = grown.setdefault(kept, {})
+                get = tgt.get
                 for x, m in poly.items():
-                    tgt[x + mono] = tgt.get(x + mono, 0) + k * m
+                    x += mono
+                    tgt[x] = get(x, 0) + k * m
         states, top = grown, lo
-    mask = (1 << bits) - 1
     total = {}
     for poly in states.values():
         for x, m in poly.items():
-            exp = tuple(x >> bits * i & mask for i in range(nvars))
-            total[exp] = total.get(exp, 0) + m
-    return total
+            total[x] = total.get(x, 0) + m
+    return bits, total
+
+
+def unpack_exponents(bits, packed, nvars):
+    """{exponent tuple: c} from {packed exponent: c}, fields of `bits` bits."""
+    mask = (1 << bits) - 1
+    return {tuple(x >> bits * i & mask for i in range(nvars)): c
+            for x, c in packed.items()}
+
+
+def rpp_generating_poly(outer, inner, nvars):
+    """Sum of x^T over reverse plane partitions with entries <= nvars, as a
+    raw {exponent: int} dict.
+
+    Column transfer, left to right, in the form of schur._skew.  A state is
+    the finished column's entries on the rows the next column shares (from
+    this column's top row down to the next column's bottom; none if that
+    range is empty) and carries one polynomial.  Each filling of the next
+    column weakly increases downwards, and an entry is at least the entry
+    above, at least its left neighbour where one exists, and at most nvars.
+    Fillings that agree on the kept entries and on their set of distinct
+    values are counted together and shift the state's polynomial by one x_v
+    per distinct value v.  Equal states merge; the result is the sum over
+    the final states.  Agrees with summing rpp_weight over enumerate_rpp.
+    The transfer runs in _rpp_packed on exponents packed into one int, a
+    field per variable as wide as the bit length of the number of columns
+    (which bounds every exponent), so a shift is one addition; this
+    function unpacks its result.
+    """
+    return unpack_exponents(*_rpp_packed(outer, inner, nvars), nvars)
 
 
 @cache

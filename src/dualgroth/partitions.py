@@ -297,4 +297,5 @@ def parse_partition(text):
     body = s[1:-1].strip()
     if not body:
         return ()
-    return as_partition(body.split(","))
+    # ints first, so an error names the parsed parts, as a [..] atom's does
+    return as_partition([int(x) for x in body.split(",")])

@@ -9,9 +9,11 @@ within a couple of minutes of desk time.
 
 import random
 from collections import namedtuple
+from functools import cache
+from types import MappingProxyType
 
-from .groth import (G_truncated, c_coeff, g_skew, g_to_schur,
-                    rpp_generating_poly, schur_to_g)
+from .groth import (G_truncated, _rpp_packed, c_coeff, g_skew, g_to_schur,
+                    rpp_generating_poly, schur_to_g, unpack_exponents)
 from .operators import (E_perp, H_perp, inc_convolve, inc_delta, inc_it,
                         inc_jt, inc_mobius, inc_zeta, op_I, op_I_inv, perp,
                         skew_pieri, expand_skew_sum, telescoping_X, tilde_c,
@@ -22,10 +24,10 @@ from .partitions import (column_count, format_partition, format_skew,
                          sort_key, subpartitions, vertical_strip_additions)
 from .schur import (E_series, H_series, SymFunc, TruncSeries, coproduct,
                     antipode, hall, is_group_like, phi_t, schur, series_mul,
-                    to_polynomial, raw_is_symmetric)
+                    to_polynomial, raw_is_symmetric, ssyt_poly)
 from .serialize import (incidence_text, multipoly_text, series_text,
                         symfunc_text, tensor_text, to_text)
-from .tpoly import ONE, T, ZERO, MultiPoly, TPoly, add_terms
+from .tpoly import ONE, T, ZERO, MultiPoly, TPoly
 
 SuiteSpec = namedtuple("SuiteSpec", ["func", "default_max_size", "description"])
 
@@ -97,7 +99,72 @@ def suite_g_top_term(max_size, rng):
         yield format_partition(la), thunk
 
 
+@cache
+def _packed_schur(la, m, bits):
+    """s_la(x_1..x_m) as {packed exponent: int} (read-only), the exponent
+    of x_v in field v-1 of `bits` bits (the layout of groth._rpp_packed);
+    None if an exponent does not fit its field.
+    """
+    limit = 1 << bits
+    out = {}
+    for exp, n in ssyt_poly(la, m).items():
+        if max(exp) >= limit:
+            return None
+        out[sum(e << bits * i for i, e in enumerate(exp))] = n
+    return MappingProxyType(out)
+
+
+def _packed_values(f, m, bits, shift):
+    """f(z_{shift+1}..z_{shift+m}) as {packed exponent: int}, read from the
+    packed Schur rows and the integer values of f's Schur coefficients;
+    None if an exponent does not fit its field.
+    """
+    out = {}
+    get = out.get
+    shift *= bits
+    for la, c in f.terms.items():
+        rows = _packed_schur(la, m, bits)
+        if rows is None:
+            return None
+        k = c.as_int()
+        for key, n in rows.items():
+            key <<= shift
+            out[key] = get(key, 0) + k * n
+    return out
+
+
+def _split_alphabet(la, mu, m, bits):
+    """sum_{nu in [mu, la]} g_{nu/mu}(x_1..x_m) g_{la/nu}(y_1..y_m), the y's
+    being variables m+1..2m, packed with `bits` bits per field and without
+    zero terms; None if an exponent does not fit its field."""
+    total = {}
+    get = total.get
+    for nu in interval(mu, la):
+        px = _packed_values(g_skew(nu, mu), m, bits, 0)
+        py = _packed_values(g_skew(la, nu), m, bits, m)
+        if px is None or py is None:
+            return None
+        for a, c in px.items():
+            for b, d in py.items():
+                key = a + b
+                total[key] = get(key, 0) + c * d
+    return {x: c for x, c in total.items() if c}
+
+
 def suite_g_coproduct(max_size, rng):
+    """Delta g_{la/mu} = sum_nu g_{nu/mu} (x) g_{la/nu}, in a split alphabet:
+    the RPP transfer of la/mu in x_1..x_m, y_1..y_m (m = |la/mu|) against
+    sum_nu g_{nu/mu}(x) g_{la/nu}(y) from the Schur expansions.
+
+    Both sides are {packed exponent: int} dicts in the layout of
+    groth._rpp_packed, whose field width (the bit length of la_1, the
+    number of columns) covers every exponent of the transfer.  The product
+    side checks that each of its exponents fits that width, so a packing
+    never aliases one variable into the next: an exponent that does not
+    fit fails the case (a correct g_{nu/mu} has none, since its exponents
+    are at most its columns), and the failure texts are decoded at a
+    width wide enough for it.
+    """
     for la, mu in _skew_shapes(max_size):
         m = size(la) - size(mu)
         if m == 0:
@@ -105,18 +172,15 @@ def suite_g_coproduct(max_size, rng):
 
         def thunk(la=la, mu=mu, m=m):
             nv = 2 * m
-            direct = rpp_generating_poly(la, mu, nv)
-            # x_1..x_m then y_1..y_m: a monomial x^a y^b is the tuple a + b
-            total = {}
-            for nu in interval(mu, la):
-                px = to_polynomial(g_skew(nu, mu), m).terms
-                py = to_polynomial(g_skew(la, nu), m).terms
-                add_terms(total, ((a + b, c * d) for a, c in px.items()
-                                  for b, d in py.items()))
-            if total == direct:
+            bits, direct = _rpp_packed(la, mu, nv)
+            wide = bits
+            while (split := _split_alphabet(la, mu, m, wide)) is None:
+                wide += 1
+            if wide == bits and split == direct:
                 return (True, None, None)
-            return (False, multipoly_text(MultiPoly(nv)._like(total)),
-                    multipoly_text(MultiPoly(nv, direct)))
+            return (False,
+                    multipoly_text(MultiPoly(nv, unpack_exponents(wide, split, nv))),
+                    multipoly_text(MultiPoly(nv, unpack_exponents(bits, direct, nv))))
 
         yield format_skew(la, mu), thunk
 

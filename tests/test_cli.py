@@ -218,6 +218,17 @@ def test_expand_series_and_errors(capsys):
     assert code == 2
 
 
+def test_bad_partition_is_named_by_its_parsed_parts(capsys):
+    # a partition flag and a partition atom print the same parsed integers
+    assert cli.main(["constants", "--family", "lr", "--lambda", "[1, 2]",
+                     "--mu", "[1]", "--nu", "[1]"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad --lambda: partition parts must be weakly decreasing: [1, 2]\n")
+    assert cli.main(["expand", "--to", "s", "s[1,2]"]) == 2
+    assert capsys.readouterr().err == (
+        "error: partition parts must be weakly decreasing: [1, 2]\n")
+
+
 def test_flat_sum_of_many_terms(capsys):
     code, lines = run_cli(capsys, "expand", "--to", "s", "+".join(["s[1]"] * 3000))
     assert code == 0

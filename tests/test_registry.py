@@ -1,10 +1,16 @@
 """Every registered suite runs green at its documented default bound."""
 
+import json
+
 import pytest
 
 from dualgroth import suites
-from dualgroth.partitions import interval
+from dualgroth.groth import rpp_generating_poly
+from dualgroth.partitions import interval, size
+from dualgroth.schur import schur, to_polynomial
+from dualgroth.serialize import multipoly_text
 from dualgroth.suites import SUITES, iter_cases, run_suite
+from dualgroth.tpoly import MultiPoly
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -34,3 +40,59 @@ def test_interval_sums_read_both_sides(monkeypatch, name, case):
     la, mu = (3, 2, 1), (1,)
     for nu in interval(mu, la):
         assert (nu, mu) in reads and (la, nu) in reads, nu
+
+
+def _with_g(monkeypatch, shape, extra):
+    # g_skew with extra added to the g of one skew shape
+    g_skew = suites.g_skew
+
+    def patched(la, mu):
+        f = g_skew(la, mu)
+        return f + extra if (tuple(la), tuple(mu)) == shape else f
+
+    monkeypatch.setattr(suites, "g_skew", patched)
+
+
+def _split_text(la, mu):
+    # the product side in exponent tuples: x^a y^b is the tuple a + b
+    m = size(la) - size(mu)
+    total = MultiPoly(2 * m)
+    for nu in interval(mu, la):
+        px = to_polynomial(suites.g_skew(nu, mu), m).terms
+        py = to_polynomial(suites.g_skew(la, nu), m).terms
+        total = total + MultiPoly(2 * m, {a + b: c * d for a, c in px.items()
+                                          for b, d in py.items()})
+    return multipoly_text(total)
+
+
+def test_g_coproduct_catches_a_wrong_coefficient(monkeypatch):
+    # one Schur coefficient of g_{(2,1)/(1)} bumped by one: the packed
+    # check fails both cases that read it, with both sides decoded
+    _with_g(monkeypatch, ((2, 1), (1,)), schur((2,)))
+    cases = dict(iter_cases("g-coproduct"))
+    for la, mu, cid in [((2, 1), (), "[2,1]/[]"), ((2, 1), (1,), "[2,1]/[1]")]:
+        ok, lhs, rhs = cases[cid]()
+        nv = 2 * (size(la) - size(mu))
+        assert not ok and lhs != rhs, cid
+        assert lhs == _split_text(la, mu)
+        assert rhs == multipoly_text(MultiPoly(nv, rpp_generating_poly(la, mu, nv)))
+
+
+def test_g_coproduct_fails_an_exponent_wider_than_its_field(monkeypatch):
+    # la_1 = 1 gives one bit per field: an extra s_(2) in g_(1) puts x_1^2
+    # and y_1^2 on the product side, which must fail the case, not alias
+    # x_1^2 into y_1
+    _with_g(monkeypatch, ((1,), ()), schur((2,)))
+    ok, lhs, rhs = dict(iter_cases("g-coproduct"))["[1]/[]"]()
+    assert not ok
+    got = {tuple(t["exponents"]): t["coeff"] for t in json.loads(lhs)["terms"]}
+    assert got == {(2, 0): "1", (1, 0): "1", (0, 2): "1", (0, 1): "1"}
+    assert lhs == _split_text((1,), ())
+
+
+@pytest.mark.parametrize("case", ["[1]/[]", "[1,1]/[]", "[2]/[]", "[2,2]/[1]",
+                                  "[4]/[]", "[4,1]/[]", "[8]/[]"])
+def test_g_coproduct_fields_hold_an_exponent_of_la_1(case):
+    # la_1 = 2^j columns give x_v^(2^j), the widest exponent: the field is
+    # one bit wider than 2^j - 1 needs, and a narrower one fails these cases
+    assert dict(iter_cases("g-coproduct", 8))[case]() == (True, None, None)
