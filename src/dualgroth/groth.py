@@ -17,7 +17,10 @@ skew g is the reverse-plane-partition sum, evaluated by a left-to-right
 column transfer in the form of schur._skew and lifted to the Schur
 basis.  The inverse side, s -> g and the series G_la dual to g, reads
 the rows and the columns of one table of strict elegant fillings
-(Lenart, Ann. Comb. 4 (2000), Thm 2.2).
+(Lenart, Ann. Comb. 4 (2000), Thm 2.2).  Both kinds of filling are
+counted by one cached recursion, _fillings, which peels the cells
+labelled k for k from the top label down; the step rule (elegant or
+strict) is its argument.
 """
 
 from functools import cache
@@ -152,43 +155,29 @@ def rpp_generating_poly(outer, inner, nvars):
 
 
 @cache
-def _elegant(nu, k):
-    """{mu: number of elegant fillings of nu/mu with entries <= k}
-    (read-only).
+def _fillings(nu, k, strict):
+    """{la: N} (read-only), N the number of elegant fillings of nu/la with
+    entries <= k; when strict, {la: (-1)^{|nu/la|} N} over the strict ones.
 
     An elegant filling is a semistandard tableau whose row-i entries
-    (1-indexed) lie in 1..i-1.  Its entries equal to k form a horizontal
-    strip in rows k+1, ...; peeling that strip keeps nu[:k] and leaves
-    every later row i between nu[i+1] and nu[i].
-    """
-    if k == 0:
-        return MappingProxyType({nu: 1})
-    tail = nu[k:]
-    acc = {}
-    for rows in product(*(range(lo, hi + 1)
-                           for hi, lo in zip(tail, tail[1:] + (0,)))):
-        rho = nu[:k] + tuple(r for r in rows if r)
-        add_terms(acc, _elegant(rho, k - 1).items())
-    return MappingProxyType(acc)
-
-
-@cache
-def _strict(nu, k):
-    """{la: (-1)^{|nu/la|} N} (read-only), N the number of strict elegant
-    fillings of nu/la with entries <= k: elegant fillings that increase
-    strictly along rows too.  Their entries equal to k are removable corners
-    of nu in rows k+1, ...; peeling them leaves every later row i between
-    max(nu[i+1], nu[i]-1) and nu[i], each peeled cell flipping the sign.
+    (1-indexed) lie in 1..i-1; a strict one increases strictly along rows
+    too.  Its entries equal to k form a horizontal strip in rows k+1, ...
+    (removable corners of nu, when strict).  Peeling them keeps nu[:k] and
+    leaves every later row i between nu[i+1] and nu[i], and when strict
+    at least nu[i]-1, each peeled cell flipping the sign.  Every caller
+    passes strict positionally, so each table has one cache key.
     """
     if k <= 0:
         return MappingProxyType({nu: 1})
     tail = nu[k:]
     acc = {}
-    for rows in product(*(range(max(lo, hi - 1), hi + 1)
+    for rows in product(*(range(max(lo, hi - 1) if strict else lo, hi + 1)
                            for hi, lo in zip(tail, tail[1:] + (0,)))):
         rho = nu[:k] + tuple(r for r in rows if r)
-        sign = -1 if (size(tail) - sum(rows)) % 2 else 1
-        add_terms(acc, ((la, sign * c) for la, c in _strict(rho, k - 1).items()))
+        table = _fillings(rho, k - 1, strict).items()
+        if strict and (size(tail) - sum(rows)) % 2:
+            table = ((la, -c) for la, c in table)
+        add_terms(acc, table)
     return MappingProxyType(acc)
 
 
@@ -235,7 +224,7 @@ def g_skew(outer, inner=()):
         n = min(size(outer) - size(inner), len(outer))
         raw = schur_expand_raw(rpp_generating_poly(outer, inner, n), n)
     else:
-        raw = _elegant(outer, len(outer) - 1)
+        raw = _fillings(outer, len(outer) - 1, False)
     return SymFunc()._like({la: _coerce(c) for la, c in raw.items()}).frozen()
 
 
@@ -248,22 +237,24 @@ def schur_to_g(f):
     """Expand a SymFunc over the g basis; returns {partition: TPoly}.
 
     s_sigma = sum_la (-1)^{|sigma/la|} N_{la,sigma} g_la (Lenart): one row
-    of _strict per term, scaled by its coefficient in f.
+    of the strict _fillings table per term, scaled by its coefficient in f.
     """
-    return sum_rows([(c, _strict(sigma, len(sigma) - 1)) for sigma, c in f.terms.items()])
+    return sum_rows([(c, _fillings(sigma, len(sigma) - 1, True))
+                     for sigma, c in f.terms.items()])
 
 
 @cache
 def G_truncated(la, N):
     """The stable Grothendieck series G_la, truncated at degree N.
 
-    G_la = sum_mu (-1)^{|mu/la|} N_{la,mu} s_mu (Lenart): the la column of
-    _strict over every mu containing la.  Its terms are a read-only mapping.
+    G_la = sum_mu (-1)^{|mu/la|} N_{la,mu} s_mu (Lenart): entry la of the
+    strict _fillings table of every mu containing la, as listed by
+    partitions_of_containing.  Its terms are a read-only mapping.
     """
     la = tuple(la)
     if N < size(la):
         raise ValueError("cap %d is below |la| = %d" % (N, size(la)))
-    column = ((mu, _strict(mu, len(mu) - 1).get(la))
+    column = ((mu, _fillings(mu, len(mu) - 1, True).get(la))
               for m in range(size(la), N + 1)
               for mu in partitions_of_containing(m, la))
     return TruncSeries(N, {mu: c for mu, c in column if c}).frozen()

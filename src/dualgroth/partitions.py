@@ -203,22 +203,9 @@ def a_statistic(alpha, beta):
 
 @cache
 def partitions_of(n):
-    """All partitions of n, in reverse-lexicographic order ((n) first)."""
-    if n < 0:
-        return ()
-    if n == 0:
-        return ((),)
-    out = []
-
-    def build(remaining, maxpart, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for v in range(min(maxpart, remaining), 0, -1):
-            build(remaining - v, v, acc + [v])
-
-    build(n, n, [])
-    return tuple(out)
+    """All partitions of n, in reverse-lexicographic order ((n) first):
+    partitions_of_containing(n, ())."""
+    return tuple(partitions_of_containing(n, ()))
 
 
 def partitions_up_to(n):
@@ -230,8 +217,26 @@ def partitions_up_to(n):
 
 
 def partitions_of_containing(n, la):
-    """Partitions of n that contain la, canonical order."""
-    return [p for p in partitions_of(n) if contains(la, p)]
+    """Partitions of n that contain la, in reverse-lexicographic order.
+
+    Built one row at a time, with no scan over the partitions of n: row i
+    is at least la_i and 1, at most the row above (n for the first row),
+    and leaves at least la_{i+1} + la_{i+2} + ... of n to cover la's
+    lower rows.  So every row chosen can be completed, and a shape is
+    finished when no part of n is left, after at most len(la) + n - |la|
+    rows.
+    """
+    out = [] if n or la else [()]  # () is the one partition of 0
+    grow, rest = [((), n)], size(la)
+    for i in range(len(la) + n - rest):
+        lo = la[i] if i < len(la) else 0
+        rest -= lo
+        grow = [(p + (v,), left - v) for p, left in grow
+                for v in range(max(lo, 1), min(p[-1] if p else n, left - rest) + 1)]
+        out += [p for p, left in grow if not left]
+        grow = [state for state in grow if state[1]]
+    # among partitions of one n, descending tuple order is reverse-lex order
+    return sorted(out, reverse=True)
 
 
 def horizontal_strip_additions(mu, k):

@@ -359,6 +359,16 @@ def test_lr_constant_on_long_rows():
     assert '"value":1}' in out
 
 
+def test_G_series_on_a_long_column():
+    # G_truncated lists only the shapes that contain [1^80], so this never
+    # builds the partitions of 80
+    column = "[%s]" % ",".join(["1"] * 80)
+    code, out, err = _fresh_cli("inner", "--series", "G", "--lambda", column,
+                                "s" + column)
+    assert (code, err) == (0, "")
+    assert out == '{"value":"1"}\n'
+
+
 @pytest.mark.parametrize("expr, to", [
     ("e1200", "g"),
     ("g[%s]" % ",".join(["1"] * 1200), "s"),

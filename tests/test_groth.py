@@ -369,12 +369,12 @@ def test_G_truncated_values():
 
 
 @pytest.mark.parametrize("table, args, key", [
-    (groth._elegant, ((3, 2, 1), 2), (9,)),
-    (groth._strict, ((2, 1), 1), (2,)),
+    (groth._fillings, ((3, 2, 1), 2, False), (9,)),
+    (groth._fillings, ((2, 1), 1, True), (2,)),
     (lambda *args: g_skew(*args).terms, ((2, 1), ()), (9,)),
     (lambda *args: g_skew(*args).terms, ((3, 2), (1,)), (9,)),
     (lambda *args: G_truncated(*args).terms, ((1,), 3), (9,)),
-], ids=["_elegant", "_strict", "g_skew", "g_skew-skew", "G_truncated"])
+], ids=["_fillings-elegant", "_fillings-strict", "g_skew", "g_skew-skew", "G_truncated"])
 def test_cached_values_are_read_only(table, args, key):
     first = dict(table(*args))
     with pytest.raises(TypeError):
@@ -401,14 +401,14 @@ def test_gate_rejects_asymmetric_input():
 
 def test_grouped_schur_to_g_matches_per_term_oracle():
     # t s_mu - t s_nu and (1+t) s_mu - s_nu: distinct coefficients whose
-    # rows of _strict meet on shared g_la and cancel there
+    # rows of the strict _fillings tables meet on shared g_la and cancel there
     shapes = partitions_up_to(5)
     for mu in shapes:
         for nu in shapes:
             for f in ((schur(mu) - schur(nu)).scale(T),
                       schur(mu).scale(ONE + T) - schur(nu)):
                 want = add_terms({}, ((la, c * k) for sigma, c in f.terms.items()
-                                      for la, k in groth._strict(sigma, len(sigma) - 1).items()))
+                                      for la, k in groth._fillings(sigma, len(sigma) - 1, True).items()))
                 got = schur_to_g(f)
                 assert got == want, (mu, nu)
                 for c in got.values():

@@ -6,7 +6,8 @@ from dualgroth.partitions import (a_statistic, as_partition, cells,
                                   horizontal_strip_removals, interval,
                                   is_horizontal_strip, is_rook_strip,
                                   is_vertical_strip, mobius, parse_partition,
-                                  partitions_of, partitions_up_to, size,
+                                  partitions_of, partitions_of_containing,
+                                  partitions_up_to, size,
                                   skew_normal_form, skew_pieces, sort_key,
                                   strip_kind, subpartitions, transpose,
                                   vertical_strip_additions,
@@ -206,9 +207,26 @@ def test_partitions_up_to_counts_and_order():
     assert partitions_up_to(0) == [()]
     assert partitions_up_to(2) == [(), (1,), (2,), (1, 1)]
     assert len(partitions_up_to(4)) == 12
-    counts = [len(partitions_of(n)) for n in range(8)]
-    assert counts == [1, 1, 2, 3, 5, 7, 11, 15]
+    counts = [len(partitions_of(n)) for n in range(16)]
+    assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
     assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    assert partitions_of(-1) == ()
+    # partitions_of is the row builder's la = () case, so check it on its own
+    for n, count in [*enumerate(counts), (20, 627), (30, 5604)]:
+        ps = partitions_of(n)
+        assert len(ps) == count, n
+        assert all(as_partition(la) == la and size(la) == n for la in ps)
+        assert all(sort_key(a) < sort_key(b) for a, b in zip(ps, ps[1:])), n
+
+
+def test_partitions_of_containing_matches_scan():
+    for n in range(16):
+        for la in partitions_up_to(n):
+            scan = [p for p in partitions_of(n) if contains(la, p)]
+            assert partitions_of_containing(n, la) == scan, (n, la)
+    assert partitions_of_containing(3, (2, 2)) == []
+    assert partitions_of_containing(0, (1,)) == []
+    assert partitions_of_containing(80, (1,) * 80) == [(1,) * 80]
 
 
 def test_strip_addition_helpers_match_bruteforce():

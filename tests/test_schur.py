@@ -15,7 +15,7 @@ from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
                              lr_coeff, p_gen, phi_t, raw_is_symmetric,
                              schur, schur_expand_raw, series_mul, ssyt_poly,
                              to_polynomial, truncate)
-from dualgroth.groth import _strict, schur_to_g
+from dualgroth.groth import _fillings, schur_to_g
 from dualgroth.operators import perp
 from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO, add_terms, sum_rows
 from lr_oracle import hook_syt_count, lr_scan, skew_syt_count
@@ -501,7 +501,7 @@ def test_sum_rows_matches_per_term_oracle():
 def test_sum_rows_leaves_cached_tables_unchanged():
     mu, nu, sigma = (2, 1), (2,), (3, 2, 1)
     reads = [lambda: _mul_pair(nu, mu), lambda: _skew(sigma, (1,)),
-             lambda: _strict(sigma, 2)]
+             lambda: _fillings(sigma, 2, True)]
     tables = [read() for read in reads]
     before = [dict(table) for table in tables]
     pairs = [(T, tables[0]), (-ONE, tables[0]), (ONE + T, tables[1]),
