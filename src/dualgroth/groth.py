@@ -11,7 +11,14 @@ them (partitions.skew_normal_form) and builds each diagram once.  Pieces
 that share no row and no column are filled independently and their
 column weights add, so the g of a diagram with three or more rows and
 more than one piece (partitions.skew_pieces) is the product of its
-pieces' g's.  A straight g_la is built directly in the Schur basis from
+pieces' g's.  Turning a diagram by 180 degrees in its box
+(partitions.skew_half_turn) and relabelling each entry v as N+1-v maps
+its reverse plane partitions with entries <= N onto the turned
+diagram's and keeps the column weight up to that relabelling; g is
+symmetric, so the turned diagram has the same g.  A diagram that turns
+into a straight shape takes the elegant-filling rule, and of a diagram
+and its turn only the smaller pair is built.
+A straight g_la is built directly in the Schur basis from
 elegant fillings (Lam-Pylyavskyy, arXiv:0705.2189, Thm 9.8); any other
 skew g is the reverse-plane-partition sum, evaluated by a left-to-right
 column transfer in the form of schur._skew and lifted to the Schur
@@ -28,7 +35,8 @@ from itertools import product
 from types import MappingProxyType
 
 from .partitions import (cells, contains, interval, partitions_of_containing,
-                         size, skew_normal_form, skew_pieces, transpose)
+                         size, skew_half_turn, skew_normal_form, skew_pieces,
+                         transpose)
 from .schur import SymFunc, TensorElem, TruncSeries, hall, schur_expand_raw
 from .tpoly import ZERO, _coerce, add_terms, sum_rows
 
@@ -197,7 +205,14 @@ def g_skew(outer, inner=()):
     cached g's: every row and every column is one run of cells, so pieces
     that share neither are filled independently and their column weights
     add.  (A two-row diagram stays on the transfer, whose one variable
-    per row makes it as cheap as the product.)  A straight shape la is
+    per row makes it as cheap as the product.)  The half-turn of a
+    diagram in its box (skew_half_turn) has the same g: reading cell
+    (r, c) at (n-1-r, w-1-c) with entry N+1-v keeps rows and columns
+    weakly increasing and sends a filling of weight x^a to one of weight
+    x^(a reversed), and g is symmetric.  So a diagram whose turn is
+    straight returns the cached straight g, and of a diagram and its
+    turn the larger (outer, inner) pair returns the g of the smaller,
+    which alone is built.  A straight shape la is
     sum_mu f^mu_la s_mu, where f^mu_la counts the elegant fillings of
     la/mu.  Any other skew shape takes the generating polynomial in enough
     variables to see every Schur component (the expansion of g_{la/mu} is
@@ -221,6 +236,9 @@ def g_skew(outer, inner=()):
             for piece in pieces[1:]:
                 f = f * g_skew(*piece)
             return f.frozen()
+        turned = skew_half_turn(outer, inner)
+        if not turned[1] or turned < (outer, inner):
+            return g_skew(*turned)
         n = min(size(outer) - size(inner), len(outer))
         raw = schur_expand_raw(rpp_generating_poly(outer, inner, n), n)
     else:

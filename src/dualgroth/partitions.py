@@ -94,6 +94,23 @@ def skew_normal_form(outer, inner=()):
     return tuple(out), tuple(x for x in inn if x)
 
 
+def skew_half_turn(outer, inner=()):
+    """outer/inner turned by 180 degrees in its box of n = len(outer) rows
+    and w = outer[0] columns, in skew_normal_form.
+
+    Cell (r, c) goes to (n-1-r, w-1-c), so row r of the turned outer shape
+    is w - inner[n-1-r] and row r of its inner shape is w - outer[n-1-r].
+    The turn keeps the cell count, each cell's row and column neighbours
+    and the number of columns, and turning twice gives the normal form.
+    """
+    if not outer:
+        return (), ()
+    n, w = len(outer), outer[0]
+    padded = inner + (0,) * (n - len(inner))
+    return skew_normal_form(tuple(w - x for x in reversed(padded)),
+                            tuple(w - x for x in reversed(outer)))
+
+
 def skew_pieces(outer, inner=()):
     """The connected pieces of a diagram in skew_normal_form, top to bottom,
     each in normal form.
@@ -222,21 +239,28 @@ def partitions_of_containing(n, la):
     Built one row at a time, with no scan over the partitions of n: row i
     is at least la_i and 1, at most the row above (n for the first row),
     and leaves at least la_{i+1} + la_{i+2} + ... of n to cover la's
-    lower rows.  So every row chosen can be completed, and a shape is
-    finished when no part of n is left, after at most len(la) + n - |la|
-    rows.
+    lower rows, so every row chosen can be completed.  A depth-first walk
+    over an explicit stack (no recursion per row) takes the larger row
+    first, so the shapes come out in descending tuple order, which among
+    partitions of one n is reverse-lex order, and need no sort.
     """
-    out = [] if n or la else [()]  # () is the one partition of 0
-    grow, rest = [((), n)], size(la)
-    for i in range(len(la) + n - rest):
-        lo = la[i] if i < len(la) else 0
-        rest -= lo
-        grow = [(p + (v,), left - v) for p, left in grow
-                for v in range(max(lo, 1), min(p[-1] if p else n, left - rest) + 1)]
-        out += [p for p, left in grow if not left]
-        grow = [state for state in grow if state[1]]
-    # among partitions of one n, descending tuple order is reverse-lex order
-    return sorted(out, reverse=True)
+    if n < size(la):
+        return []
+    rest = [0] * (n + 1)  # rest[i] = la_{i+1} + la_{i+2} + ...
+    for i in range(len(la) - 2, -1, -1):
+        rest[i] = rest[i + 1] + la[i + 1]
+    low = [max(x, 1) for x in la] + [1] * (n + 1 - len(la))
+    out, stack = [], [((), n)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        p, left = pop()
+        if not left:
+            out.append(p)
+            continue
+        i = len(p)
+        for v in range(low[i], min(p[-1] if p else n, left - rest[i]) + 1):
+            push((p + (v,), left - v))
+    return out
 
 
 def horizontal_strip_additions(mu, k):

@@ -6,7 +6,7 @@ from dualgroth.groth import (G_truncated, c_coeff, d_coeff, enumerate_rpp,
                              rpp_generating_poly, rpp_weight, schur_to_g)
 from dualgroth.partitions import (column_count, contains,
                                   partitions_of_containing, partitions_up_to,
-                                  size, subpartitions)
+                                  size, skew_half_turn, subpartitions)
 from dualgroth.schur import (SymFunc, TensorElem, hall, schur,
                              schur_expand_raw, raw_is_symmetric, to_polynomial)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
@@ -122,7 +122,10 @@ def test_disconnected_diagram_is_the_product_of_its_pieces(monkeypatch):
         assert g_skew((3, 1, 1), (1,)) == g_to_schur((2,)) * g_to_schur((1, 1))
         assert g_skew((3, 2, 1), (2, 1)) == schur((1,)) * schur((1,)) * schur((1,))
         assert g_skew((3, 3, 1), (2, 1)) == g_skew((2, 2), (1,)) * schur((1,))
-        assert calls == [((2, 2), (1,))]
+        assert g_skew((4, 3, 1), (2, 1)) == g_skew((3, 2), (1,)) * schur((1,))
+        # one transfer per piece that does not turn into a straight shape:
+        # (2,2)/(1) turns into (2,1), and (3,2)/(1) is its own turn
+        assert calls == [((3, 2), (1,))]
         # a two-row or a connected diagram keeps the transfer
         g_skew((2, 1), (1,))
         g_skew((3, 2, 1), (1,))
@@ -132,10 +135,13 @@ def test_disconnected_diagram_is_the_product_of_its_pieces(monkeypatch):
 
 
 @pytest.mark.parametrize("outer,inner", [((2,) + (1,) * 16, (1,)),
-                                         ((3,) + (1,) * 12, (1, 1))])
+                                         ((3,) + (1,) * 12, (1, 1)),
+                                         ((2,) * 10, (1,) * 3),
+                                         ((3,) * 8, (1, 1))])
 def test_pushed_disconnected_g_by_invariants(outer, inner):
-    # too tall for the transfer (17 s on the first shape); checked by
-    # invariants that read neither the transfer nor the pieces
+    # too tall for the transfer (17 s on the first shape, about a minute
+    # on the third); checked by invariants that read neither the
+    # transfer, nor the pieces, nor the half-turn
     g = g_skew(outer, inner)
     # in one variable every entry is 1, one x per column
     assert to_polynomial(g, 1).terms == {(column_count(outer, inner),): ONE}
@@ -167,6 +173,18 @@ def test_translated_diagrams_have_the_same_g():
     assert _translated((2, 1), (1,), 1, 1) == ((3, 3, 2), (3, 2, 1))
 
 
+def test_turned_diagrams_have_the_same_generating_poly():
+    # the turn reverses the order of the entries (v -> n+1-v) and keeps the
+    # column weight; the polynomial is symmetric, so it is unchanged
+    for la, mu in [((2, 2), (1,)), ((3, 2, 1), (1,)), ((4, 2, 1), (2, 1)),
+                   ((3, 3, 2), (1, 1)), ((2,) * 5, (1, 1)), ((4, 3, 3), (2,))]:
+        turned = skew_half_turn(la, mu)
+        assert turned != (la, mu)
+        for n in (1, 2, 3):
+            assert (rpp_generating_poly(*turned, n)
+                    == rpp_generating_poly(la, mu, n)), (la, mu, n)
+
+
 def test_skew_g_of_a_straight_diagram_skips_transfer(monkeypatch):
     def boom(*args):
         raise AssertionError("transfer called for a straight diagram")
@@ -175,6 +193,8 @@ def test_skew_g_of_a_straight_diagram_skips_transfer(monkeypatch):
     g_skew.cache_clear()
     try:
         assert g_skew((3, 3, 1), (3,)) == g_to_schur((3, 1))
+        # (2,2)/(1) turned by 180 degrees is the straight (2,1)
+        assert g_skew((2, 2), (1,)) == g_to_schur((2, 1))
     finally:
         g_skew.cache_clear()
 

@@ -7,7 +7,7 @@ from dualgroth.partitions import (a_statistic, as_partition, cells,
                                   is_horizontal_strip, is_rook_strip,
                                   is_vertical_strip, mobius, parse_partition,
                                   partitions_of, partitions_of_containing,
-                                  partitions_up_to, size,
+                                  partitions_up_to, size, skew_half_turn,
                                   skew_normal_form, skew_pieces, sort_key,
                                   strip_kind, subpartitions, transpose,
                                   vertical_strip_additions,
@@ -144,6 +144,30 @@ def test_skew_pieces_are_the_connected_pieces_up_to_9():
         for r in range(1, len(outer)):
             if padded[r - 1] < outer[r]:
                 assert r not in cuts, (outer, inner, r)
+
+
+def test_skew_half_turn_examples():
+    assert skew_half_turn((2, 1), (1,)) == ((2, 1), (1,))
+    assert skew_half_turn((2, 2), (1,)) == ((2, 1), ())
+    assert skew_half_turn((3, 2, 1), (1,)) == ((3, 3, 2), (2, 1))
+    assert skew_half_turn((2,) * 10, (1,) * 3) == ((2,) * 7 + (1,) * 3, ())
+    assert skew_half_turn((3, 1), ()) == ((3, 3), (2,))
+    assert skew_half_turn((), ()) == ((), ())
+
+
+def test_skew_half_turn_turns_the_cells_up_to_9():
+    diagrams = {skew_normal_form(la, mu) for la in partitions_up_to(9)
+                for mu in subpartitions(la)} - {((), ())}
+    assert len(diagrams) == 319
+    for outer, inner in diagrams:
+        turned = skew_half_turn(outer, inner)
+        n, w = len(outer), outer[0]
+        assert turned == _normalize_cells([(n - 1 - r, w - 1 - c)
+                                           for r, c in cells(outer, inner)])
+        assert skew_half_turn(*turned) == (outer, inner), (outer, inner)
+        assert (size(turned[0]) - size(turned[1])
+                == size(outer) - size(inner)), (outer, inner)
+        assert column_count(*turned) == column_count(outer, inner)
 
 
 def test_strip_kind_examples():
