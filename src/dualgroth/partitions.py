@@ -4,6 +4,14 @@ Partitions are plain tuples of weakly decreasing positive integers, with no
 trailing zeros; the empty partition is ``()``.  All comparisons pad with
 zeros on the fly.  A skew shape is an ordered pair ``(outer, inner)`` with
 ``inner`` contained in ``outer``.
+
+Every enumerator reads one walk, ``_between(lo, hi, n)``: the partitions
+of n that lie between lo and hi row by row, built one row at a time and
+already in reverse-lex order.  An interval [mu, la] is the walk between mu
+and la at each size; the partitions of n that contain la lie between la
+and n^n; the shapes that add a horizontal strip of k cells to mu lie
+between mu and (mu_1 + k, mu_1, mu_2, ...), and those that la loses a
+horizontal strip to form the interval [(la_2, la_3, ...), la].
 """
 
 from functools import cache
@@ -141,10 +149,7 @@ def _check_skew(outer, inner):
 def is_horizontal_strip(outer, inner):
     """No column of outer/inner holds two cells."""
     _check_skew(outer, inner)
-    for i in range(len(outer) - 1):
-        if (inner[i] if i < len(inner) else 0) < outer[i + 1]:
-            return False
-    return True
+    return contains(outer[1:], inner)
 
 
 def is_vertical_strip(outer, inner):
@@ -172,19 +177,15 @@ def strip_kind(outer, inner):
 
 
 def interval(mu, la):
-    """All nu with mu <= nu <= la, in canonical order.
+    """All nu with mu <= nu <= la, in canonical order: the walk of each
+    size from |mu| to |la| in turn.
 
     Raises ValueError if mu is not contained in la.
     """
     if not contains(mu, la):
         raise ValueError("interval undefined: %s not contained in %s"
                          % (format_partition(mu), format_partition(la)))
-    out = [()]
-    for i, part in enumerate(la):
-        lo = mu[i] if i < len(mu) else 0
-        out = [nu + (v,) for nu in out
-               for v in range(lo, min(part, nu[-1] if nu else part) + 1)]
-    return sorted((tuple(x for x in nu if x) for nu in out), key=sort_key)
+    return [nu for n in range(size(mu), size(la) + 1) for nu in _between(mu, la, n)]
 
 
 @cache
@@ -234,49 +235,14 @@ def partitions_up_to(n):
 
 
 def partitions_of_containing(n, la):
-    """Partitions of n that contain la, in reverse-lexicographic order.
-
-    Built one row at a time, with no scan over the partitions of n: row i
-    is at least la_i and 1, at most the row above (n for the first row),
-    and leaves at least la_{i+1} + la_{i+2} + ... of n to cover la's
-    lower rows, so every row chosen can be completed.  A depth-first walk
-    over an explicit stack (no recursion per row) takes the larger row
-    first, so the shapes come out in descending tuple order, which among
-    partitions of one n is reverse-lex order, and need no sort.
-    """
-    if n < size(la):
-        return []
-    rest = [0] * (n + 1)  # rest[i] = la_{i+1} + la_{i+2} + ...
-    for i in range(len(la) - 2, -1, -1):
-        rest[i] = rest[i + 1] + la[i + 1]
-    low = [max(x, 1) for x in la] + [1] * (n + 1 - len(la))
-    out, stack = [], [((), n)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        p, left = pop()
-        if not left:
-            out.append(p)
-            continue
-        i = len(p)
-        for v in range(low[i], min(p[-1] if p else n, left - rest[i]) + 1):
-            push((p + (v,), left - v))
-    return out
+    """Partitions of n that contain la, in reverse-lexicographic order."""
+    return _between(la, (n,) * max(n, len(la)), n)
 
 
 def horizontal_strip_additions(mu, k):
     """All la obtained from mu by adding a horizontal strip of exactly k cells,
-    canonical order.
-
-    Row i grows from mu[i] to at most mu[i-1] (row 0 by up to k), which
-    makes la/mu a horizontal strip and la a partition.
-    """
-    out = [((), k)]
-    for i, part in enumerate(mu + (0,)):
-        above = mu[i - 1] if i else part + k
-        out = [(la + (v,), left - v + part) for la, left in out
-               for v in range(part, min(above, part + left) + 1)]
-    # rows were chosen in ascending lexicographic order within one size
-    return [tuple(x for x in la if x) for la, left in reversed(out) if not left]
+    canonical order: la_1 <= mu_1 + k and la_{i+1} <= mu_i."""
+    return _between(mu, (sum(mu[:1]) + k,) + mu, size(mu) + k)
 
 
 def vertical_strip_additions(la, k):
@@ -286,26 +252,57 @@ def vertical_strip_additions(la, k):
 
 
 def vertical_strip_removals(nu):
-    """All eta inside nu with nu/eta a vertical strip, canonical order."""
+    """All eta inside nu with nu/eta a vertical strip, canonical order: the
+    transposes of interval(nu'[1:], nu'), the shapes that the transpose
+    nu' loses a horizontal strip to."""
     nut = transpose(nu)
-    return sorted([transpose(eta) for k in range(len(nu) + 1)
-                   for eta in horizontal_strip_removals(nut, k)], key=sort_key)
+    return sorted([transpose(eta) for eta in interval(nut[1:], nut)], key=sort_key)
 
 
-def horizontal_strip_removals(la, k):
-    """All mu inside la with la/mu a horizontal strip of exactly k cells,
-    canonical order.
+def _between(lo, hi, n):
+    """The partitions nu of n with lo_i <= nu_i <= hi_i on every row, in
+    descending tuple order, which among partitions of one n is reverse-lex
+    order; lo and hi are partitions with len(lo) <= len(hi).
 
-    Row i keeps between la[i+1] and la[i] cells, which makes la/mu a
-    horizontal strip and mu a partition.
+    One row at a time, depth first over an explicit stack whose states
+    carry the row above: row i takes the values from
+    max(lo_i, 1, left - hi_{i+1} - hi_{i+2} - ...) up to
+    min(hi_i, the row above, left - lo_{i+1} - lo_{i+2} - ...), so the
+    rows below can still cover lo and hold what is left of n.  Larger
+    rows are pushed last and popped first, so no sort is needed.  A row
+    that can only be 1 forces every row below it to 1, so that tail is
+    written at once when hi has the rows for it.
     """
-    out = [((), k)]
-    for i, part in enumerate(la):
-        below = la[i + 1] if i + 1 < len(la) else 0
-        out = [(mu + (v,), left - part + v) for mu, left in out
-               for v in range(max(below, part - left), part + 1)]
-    # rows were chosen in ascending lexicographic order within one size
-    return [tuple(x for x in mu if x) for mu, left in reversed(out) if not left]
+    if not size(lo) <= n <= size(hi):
+        return []
+    rows = len(hi)
+    lo = lo + (0,) * (rows - len(lo))
+    over, under = [0] * rows, [0] * rows  # sums of hi, lo below row i
+    for i in range(rows - 1, 0, -1):
+        over[i - 1], under[i - 1] = over[i] + hi[i], under[i] + lo[i]
+    bounds = [(max(x, 1), o, h, u) for x, o, h, u in zip(lo, over, hi, under)]
+    out, stack = [], [((), n, n)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        p, left, top = pop()
+        if not left:
+            out.append(p)
+            continue
+        i = len(p)
+        floor, o, h, u = bounds[i]
+        # inline comparisons: min() and max() cost a third of the walk
+        low = left - o if left - o > floor else floor
+        if top > h:
+            top = h
+        if top > left - u:
+            top = left - u
+        if top == low == 1:
+            if i + left <= rows:
+                out.append(p + (1,) * left)
+            continue
+        for v in range(low, top + 1):
+            push((p + (v,), left - v, v))
+    return out
 
 
 def format_partition(la):

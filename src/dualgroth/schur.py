@@ -20,8 +20,7 @@ The cached tables and polynomials are read-only mappings.
 from functools import cache
 from types import MappingProxyType
 
-from .partitions import (contains, horizontal_strip_removals,
-                         partitions_up_to, size, sort_key, subpartitions,
+from .partitions import (contains, interval, size, sort_key, subpartitions,
                          transpose)
 from .tpoly import (ONE, T, ZERO, LinComb, MultiPoly, TPoly, _coerce,
                     add_terms, sum_rows)
@@ -347,24 +346,16 @@ def E_series(N, t_param=T):
 
 
 def is_group_like(F):
-    """Check A_empty = 1 and A_mu A_nu = sum_la A_la c^la_{mu nu} for every
-    pair with |mu| + |nu| <= cap (the part of the condition the cap can see).
+    """Check A_empty = 1 and coproduct(F) = F (x) F in every degree the cap
+    sees: the coefficient of s_mu (x) s_nu in coproduct(F) is
+    sum_la A_la c^la_{mu nu}, so this is A_mu A_nu = sum_la A_la c^la_{mu nu}
+    for every pair with |mu| + |nu| <= cap.
     """
     if F.coeff(()) != ONE:
         return False
-    small = partitions_up_to(F.cap)
-    for mu in small:
-        for nu in small:
-            n = size(mu) + size(nu)
-            if n > F.cap:
-                continue
-            lhs = F.coeff(mu) * F.coeff(nu)
-            rhs = ZERO
-            for la, k in _mul_pair(*sorted((mu, nu))).items():
-                rhs = rhs + F.coeff(la) * k
-            if lhs != rhs:
-                return False
-    return True
+    terms = F.terms.items()
+    return coproduct(F).terms == {(mu, nu): a * b for mu, a in terms for nu, b in terms
+                                  if size(mu) + size(nu) <= F.cap}
 
 
 def hall(F, f):
@@ -396,16 +387,16 @@ def ssyt_poly(la, n):
     Branching rule (Macdonald, Symmetric Functions and Hall Polynomials,
     I.5): the entries n of a semistandard tableau form a horizontal strip
     la/mu, so s_la(x_1..x_n) = sum over such mu of s_mu(x_1..x_{n-1})
-    x_n^|la/mu|.
+    x_n^|la/mu|; those mu are the interval from (la_2, la_3, ...) to la.
     """
     if not la:
         return MappingProxyType({(0,) * n: 1})
     if len(la) > n:
         return MappingProxyType({})
-    out = {}
-    for k in range(size(la) + 1):
-        for mu in horizontal_strip_removals(la, k):
-            add_terms(out, ((e + (k,), c) for e, c in ssyt_poly(mu, n - 1).items()))
+    out, total = {}, size(la)
+    for mu in interval(la[1:], la):
+        k = total - size(mu)
+        add_terms(out, ((e + (k,), c) for e, c in ssyt_poly(mu, n - 1).items()))
     return MappingProxyType(out)
 
 

@@ -1,9 +1,9 @@
 import pytest
 
-from dualgroth.partitions import (a_statistic, as_partition, cells,
-                                  column_count, contains, format_partition,
-                                  format_skew, horizontal_strip_additions,
-                                  horizontal_strip_removals, interval,
+from dualgroth.partitions import (_between, a_statistic, as_partition,
+                                  cells, column_count, contains,
+                                  format_partition, format_skew,
+                                  horizontal_strip_additions, interval,
                                   is_horizontal_strip, is_rook_strip,
                                   is_vertical_strip, mobius, parse_partition,
                                   partitions_of, partitions_of_containing,
@@ -253,6 +253,29 @@ def test_partitions_of_containing_matches_scan():
     assert partitions_of_containing(80, (1,) * 80) == [(1,) * 80]
 
 
+def test_between_matches_a_filter_of_partitions_of():
+    # every lo inside hi with |hi| <= 8, every n; partitions_of is pinned
+    # to p(n) and reverse-lex order in test_partitions_up_to_counts_and_order
+    small = partitions_up_to(8)
+    for hi in small:
+        for lo in small:
+            if not contains(lo, hi):
+                continue
+            for n in range(size(hi) + 2):
+                want = [nu for nu in partitions_of(n)
+                        if contains(lo, nu) and contains(nu, hi)]
+                assert _between(lo, hi, n) == want, (lo, hi, n)
+
+
+def test_interval_and_partition_counts():
+    # Catalan C_{k+1} shapes inside the staircase (k, ..., 1), C(10, 5)
+    # inside the 5 x 5 box, and p(40)
+    assert len(interval((), (6, 5, 4, 3, 2, 1))) == 429
+    assert len(interval((), (7, 6, 5, 4, 3, 2, 1))) == 1430
+    assert len(interval((), (5,) * 5)) == 252
+    assert len(partitions_of(40)) == 37338
+
+
 def test_strip_addition_helpers_match_bruteforce():
     for mu in partitions_up_to(6):
         for k in range(6):
@@ -274,11 +297,15 @@ def test_vertical_strip_removals_match_bruteforce():
 
 
 def test_horizontal_strip_removals_match_bruteforce():
+    # the mu with la/mu a horizontal strip are the interval [la[1:], la];
+    # the pool is a filter of partitions_of, not subpartitions, which
+    # reads the interval under test
     for la in partitions_up_to(7):
+        strips = interval(la[1:], la)
         for k in range(size(la) + 2):
-            brute = [mu for mu in subpartitions(la)
-                     if size(mu) == size(la) - k and is_horizontal_strip(la, mu)]
-            assert horizontal_strip_removals(la, k) == brute
+            brute = [mu for mu in partitions_of(size(la) - k)
+                     if contains(mu, la) and is_horizontal_strip(la, mu)]
+            assert [mu for mu in strips if size(mu) == size(la) - k] == brute
 
 
 def test_rook_strip_is_mobius_support():

@@ -436,6 +436,9 @@ def test_is_group_like():
     assert not is_group_like(scaled)
     no_unit = TruncSeries(2, {(1,): 1})
     assert not is_group_like(no_unit)
+    # one stray term breaks the square on the pairs it splits into
+    assert not is_group_like(H_series(5) + TruncSeries(5, {(1, 1): 1}))
+    assert not is_group_like(H_series(5) + TruncSeries(5, {(3,): 1}))
 
 
 def test_group_like_condition_via_lr_oracle():
