@@ -18,10 +18,11 @@ from .operators import (E_perp, H_perp, inc_convolve, inc_delta, inc_it,
                         inc_jt, inc_mobius, inc_zeta, op_I, op_I_inv, perp,
                         skew_pieri, expand_skew_sum, telescoping_X, tilde_c,
                         tilde_d)
-from .partitions import (column_count, format_partition, format_skew,
-                         interval, is_horizontal_strip, is_vertical_strip,
-                         partitions_of_containing, partitions_up_to, size,
-                         sort_key, subpartitions, vertical_strip_additions)
+from .partitions import (column_count, contains, format_partition,
+                         format_skew, interval, is_horizontal_strip,
+                         is_vertical_strip, partitions_of_containing,
+                         partitions_up_to, size, sort_key, subpartitions,
+                         vertical_strip_additions)
 from .schur import (E_series, H_series, SymFunc, TruncSeries, coproduct,
                     antipode, hall, is_group_like, phi_t, schur, series_mul,
                     to_polynomial, raw_is_symmetric, ssyt_poly)
@@ -133,15 +134,16 @@ def _packed_values(f, m, bits, shift):
     return out
 
 
-def _split_alphabet(la, mu, m, bits):
+def _split_alphabet(reads, m, bits):
     """sum_{nu in [mu, la]} g_{nu/mu}(x_1..x_m) g_{la/nu}(y_1..y_m), the y's
     being variables m+1..2m, packed with `bits` bits per field and without
-    zero terms; None if an exponent does not fit its field."""
+    zero terms; None if an exponent does not fit its field.  `reads`
+    holds (nu, g_{nu/mu}, g_{la/nu}) for each nu."""
     total = {}
     get = total.get
-    for nu in interval(mu, la):
-        px = _packed_values(g_skew(nu, mu), m, bits, 0)
-        py = _packed_values(g_skew(la, nu), m, bits, m)
+    for _, fx, fy in reads:
+        px = _packed_values(fx, m, bits, 0)
+        py = _packed_values(fy, m, bits, m)
         if px is None or py is None:
             return None
         for a, c in px.items():
@@ -151,10 +153,28 @@ def _split_alphabet(la, mu, m, bits):
     return {x: c for x, c in total.items() if c}
 
 
+def _outside_support(f, outer, cells):
+    """A failure if a Schur term of f does not lie inside outer or has more
+    than `cells` cells, else None."""
+    if all(contains(tau, outer) and size(tau) <= cells for tau in f.terms):
+        return None
+    return (False, symfunc_text(f), "Schur terms inside %s of size at most %d"
+            % (format_partition(outer), cells))
+
+
 def suite_g_coproduct(max_size, rng):
     """Delta g_{la/mu} = sum_nu g_{nu/mu} (x) g_{la/nu}, in a split alphabet:
-    the RPP transfer of la/mu in x_1..x_m, y_1..y_m (m = |la/mu|) against
-    sum_nu g_{nu/mu}(x) g_{la/nu}(y) from the Schur expansions.
+    the RPP transfer of la/mu in x_1..x_n, y_1..y_n against
+    sum_nu g_{nu/mu}(x) g_{la/nu}(y) from the Schur expansions, in
+    n = min(|la/mu|, l(la)) variables per alphabet.
+
+    Every true term s_a(x) s_b(y) of either side has a, b inside la and
+    of size at most |la/mu|, so at most n rows, and such products stay
+    linearly independent in n variables per alphabet.  A wrong engine
+    term with more rows would vanish there, so once the two sides agree
+    the case also checks the support: every Schur term of each
+    g_{nu/mu} and g_{la/nu} it read lies inside nu (resp. la) and has at
+    most |nu/mu| (resp. |la/nu|) cells.
 
     Both sides are {packed exponent: int} dicts in the layout of
     groth._rpp_packed, whose field width (the bit length of la_1, the
@@ -170,17 +190,23 @@ def suite_g_coproduct(max_size, rng):
         if m == 0:
             continue
 
-        def thunk(la=la, mu=mu, m=m):
-            nv = 2 * m
+        def thunk(la=la, mu=mu, n=min(m, len(la))):
+            nv = 2 * n
             bits, direct = _rpp_packed(la, mu, nv)
+            reads = [(nu, g_skew(nu, mu), g_skew(la, nu)) for nu in interval(mu, la)]
             wide = bits
-            while (split := _split_alphabet(la, mu, m, wide)) is None:
+            while (split := _split_alphabet(reads, n, wide)) is None:
                 wide += 1
-            if wide == bits and split == direct:
-                return (True, None, None)
-            return (False,
-                    multipoly_text(MultiPoly(nv, unpack_exponents(wide, split, nv))),
-                    multipoly_text(MultiPoly(nv, unpack_exponents(bits, direct, nv))))
+            if wide != bits or split != direct:
+                return (False,
+                        multipoly_text(MultiPoly(nv, unpack_exponents(wide, split, nv))),
+                        multipoly_text(MultiPoly(nv, unpack_exponents(bits, direct, nv))))
+            for nu, fx, fy in reads:
+                fault = (_outside_support(fx, nu, size(nu) - size(mu))
+                         or _outside_support(fy, la, size(la) - size(nu)))
+                if fault:
+                    return fault
+            return (True, None, None)
 
         yield format_skew(la, mu), thunk
 
@@ -291,15 +317,24 @@ def suite_i_inverse(max_size, rng):
 
 
 def suite_i_substitution(max_size, rng):
+    """I(s_la)(x) = s_la(1, x), in n = l(la) variables on the left and
+    n + 1 on the right.  The true I(s_la) sums s_k over the k inside la
+    with la/k a horizontal strip, so its terms have at most n rows and
+    stay linearly independent in n variables; once the two sides agree
+    the case also checks that every term of the engine's I(s_la) lies
+    inside la, since a term with more rows would vanish."""
     for la in partitions_up_to(max_size):
         if not la:
             continue
-        n = size(la)
+        n = len(la)
 
         def thunk(la=la, n=n):
-            lhs = to_polynomial(op_I(schur(la)), n)
+            image = op_I(schur(la))
+            lhs = to_polynomial(image, n)
             rhs = to_polynomial(schur(la), n + 1).substitute_first(1)
-            return _eq(lhs, rhs, multipoly_text)
+            if lhs != rhs:
+                return (False, multipoly_text(lhs), multipoly_text(rhs))
+            return _outside_support(image, la, size(la)) or (True, None, None)
 
         yield format_partition(la), thunk
 

@@ -6,9 +6,9 @@ import pytest
 
 from dualgroth import suites
 from dualgroth.groth import rpp_generating_poly
-from dualgroth.partitions import interval, size
+from dualgroth.partitions import format_skew, interval, size
 from dualgroth.schur import schur, to_polynomial
-from dualgroth.serialize import multipoly_text
+from dualgroth.serialize import multipoly_text, symfunc_text
 from dualgroth.suites import SUITES, iter_cases, run_suite
 from dualgroth.tpoly import MultiPoly
 
@@ -53,14 +53,19 @@ def _with_g(monkeypatch, shape, extra):
     monkeypatch.setattr(suites, "g_skew", patched)
 
 
+def _per_alphabet(la, mu):
+    # the suite's variable count per alphabet
+    return min(size(la) - size(mu), len(la))
+
+
 def _split_text(la, mu):
     # the product side in exponent tuples: x^a y^b is the tuple a + b
-    m = size(la) - size(mu)
-    total = MultiPoly(2 * m)
+    n = _per_alphabet(la, mu)
+    total = MultiPoly(2 * n)
     for nu in interval(mu, la):
-        px = to_polynomial(suites.g_skew(nu, mu), m).terms
-        py = to_polynomial(suites.g_skew(la, nu), m).terms
-        total = total + MultiPoly(2 * m, {a + b: c * d for a, c in px.items()
+        px = to_polynomial(suites.g_skew(nu, mu), n).terms
+        py = to_polynomial(suites.g_skew(la, nu), n).terms
+        total = total + MultiPoly(2 * n, {a + b: c * d for a, c in px.items()
                                           for b, d in py.items()})
     return multipoly_text(total)
 
@@ -72,10 +77,68 @@ def test_g_coproduct_catches_a_wrong_coefficient(monkeypatch):
     cases = dict(iter_cases("g-coproduct"))
     for la, mu, cid in [((2, 1), (), "[2,1]/[]"), ((2, 1), (1,), "[2,1]/[1]")]:
         ok, lhs, rhs = cases[cid]()
-        nv = 2 * (size(la) - size(mu))
+        nv = 2 * _per_alphabet(la, mu)
         assert not ok and lhs != rhs, cid
         assert lhs == _split_text(la, mu)
         assert rhs == multipoly_text(MultiPoly(nv, rpp_generating_poly(la, mu, nv)))
+
+
+@pytest.mark.parametrize("shape, extra, want", [
+    (((2, 1), (1,)), (1, 1, 1), "Schur terms inside [2,1] of size at most 2"),
+    (((1, 1, 1), (1, 1)), (1, 1), "Schur terms inside [1,1,1] of size at most 1"),
+], ids=["outside-la", "more-cells"])
+def test_g_coproduct_catches_a_term_taller_than_its_alphabets(monkeypatch, shape, extra, want):
+    # the extra term vanishes in the min(|la/mu|, l(la)) variables per
+    # alphabet of the case (2 for [2,1]/[1], 1 for [1,1,1]/[1,1]), so
+    # the two sides agree and only the support check can fail the case:
+    # s_(1,1,1) lies outside (2,1), s_(1,1) has more cells than (1,1,1)/(1,1)
+    _with_g(monkeypatch, shape, schur(extra))
+    ok, lhs, rhs = dict(iter_cases("g-coproduct"))[format_skew(*shape)]()
+    assert not ok
+    assert lhs == symfunc_text(suites.g_skew(*shape))
+    assert rhs == want
+
+
+def test_g_coproduct_catches_a_term_of_l_la_rows(monkeypatch):
+    # s_(1,1) lies inside the support of g_{(2,1)/(1)} and vanishes in
+    # one variable per alphabet: l(la) = 2 variables per alphabet see it
+    _with_g(monkeypatch, ((2, 1), (1,)), schur((1, 1)))
+    ok, lhs, rhs = dict(iter_cases("g-coproduct"))["[2,1]/[1]"]()
+    assert not ok
+    assert lhs == _split_text((2, 1), (1,))
+    assert rhs == multipoly_text(MultiPoly(4, rpp_generating_poly((2, 1), (1,), 4)))
+
+
+def _with_I(monkeypatch, la, extra):
+    # op_I with extra added to the image of s_la
+    op_I = suites.op_I
+
+    def patched(f):
+        image = op_I(f)
+        return image + schur(extra) if f == schur(la) else image
+
+    monkeypatch.setattr(suites, "op_I", patched)
+    return patched(schur(la))
+
+
+def test_i_substitution_catches_a_term_outside_la(monkeypatch):
+    # s_(1,1,1) vanishes in the l(la) = 2 variables of the left side, so
+    # only the support check on I(s_(2,1)) can fail the case
+    image = _with_I(monkeypatch, (2, 1), (1, 1, 1))
+    ok, lhs, rhs = dict(iter_cases("i-substitution"))["[2,1]"]()
+    assert not ok
+    assert lhs == symfunc_text(image)
+    assert rhs == "Schur terms inside [2,1] of size at most 3"
+
+
+def test_i_substitution_catches_a_term_of_l_la_rows(monkeypatch):
+    # s_(1,1) lies inside (2,1) and vanishes in one variable: the left
+    # side needs l(la) = 2 variables to see it
+    image = _with_I(monkeypatch, (2, 1), (1, 1))
+    ok, lhs, rhs = dict(iter_cases("i-substitution"))["[2,1]"]()
+    assert not ok
+    assert lhs == multipoly_text(to_polynomial(image, 2))
+    assert rhs == multipoly_text(to_polynomial(schur((2, 1)), 3).substitute_first(1))
 
 
 def test_g_coproduct_fails_an_exponent_wider_than_its_field(monkeypatch):
