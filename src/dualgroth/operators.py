@@ -3,22 +3,25 @@ incidence algebra on Young's lattice, and the skew Pieri rule.
 
 The perp of a truncated series F is the adjoint of multiplication by F
 under the Hall pairing.  It reads only the support of F: each tau there
-contributes F_tau s_{sigma/tau} through the skew kernel schur._skew, so
-the one-row H(t) and one-column E(t) take the Pieri rule and never an LR
-coefficient.  Caps are explicit and exceeding one is a hard error, never
-a silent truncation.  c-tilde reads one skew g under I by the interval
-identity I(g_{la/mu}) = sum over kappa in [mu, la] of g_{la/kappa}, which
-the i-skew suite checks.
+contributes F_tau s_{sigma/tau} through the skew kernel schur._skew.
+Caps are explicit and exceeding one is a hard error, never a silent
+truncation.  H(t)^perp is the substitution f(x) -> f(t, x) (Cauchy
+identity), so it reads the branching table of each Schur term and builds
+no series; E(t)^perp = omega H(t)^perp omega reads the table of the
+transpose.  I = H(1)^perp and I^-1 = E(-1)^perp.  c-tilde reads one skew
+g under I by the interval identity I(g_{la/mu}) = sum over kappa in
+[mu, la] of g_{la/kappa}, which the i-skew suite checks.
 """
 
 from functools import cache
+from types import MappingProxyType
 
 from .groth import G_truncated, d_coeff, g_skew, schur_to_g
 from .partitions import (a_statistic, column_count, contains,
                          horizontal_strip_additions, is_vertical_strip,
                          mobius, size, subpartitions, transpose,
                          vertical_strip_removals)
-from .schur import E_series, H_series, SymFunc, _skew
+from .schur import SymFunc, _branching, _skew
 from .tpoly import (ONE, T, ZERO, TPoly, _coerce, add_terms, binomial_general,
                     sum_rows)
 
@@ -36,14 +39,40 @@ def perp(F, f):
                              for tau, a in F.terms.items() if contains(tau, sigma)]))
 
 
+@cache
+def _folded(sigma, t):
+    """s_sigma(t, x) at an integer t as a read-only row {rho: t^|sigma/rho|}:
+    the branching table of sigma with each strip size k folded in at t^k."""
+    return MappingProxyType({rho: c for k, row in enumerate(_branching(sigma))
+                             if (c := t ** k) for rho in row})
+
+
 def H_perp(t_param, f):
-    """Perp of H at a formal or integer parameter value."""
-    return perp(H_series(f.degree(), t_param), f)
+    """Perp of H(t) at a formal or integer t: the substitution
+    f(x) -> f(t, x), by the branching rule s_sigma(t, x) = sum over the
+    horizontal strips sigma/rho of t^|sigma/rho| s_rho(x).
+
+    An integer t scales one folded row per Schur term; a formal t scales
+    each strip size k of the branching table by c_sigma t^k.
+    """
+    t = _coerce(t_param)
+    if t.degree() < 1:
+        t = t.as_int()
+        return f._like(sum_rows([(c, _folded(sigma, t)) for sigma, c in f.terms.items()]))
+    return f._like(sum_rows([(c * t ** k, row) for sigma, c in f.terms.items()
+                             for k, row in enumerate(_branching(sigma))]))
+
+
+def _omega(f):
+    """The involution s_la -> s_(la transposed)."""
+    return f._like({transpose(la): c for la, c in f.terms.items()})
 
 
 def E_perp(t_param, f):
-    """Perp of E at a formal or integer parameter value."""
-    return perp(E_series(f.degree(), t_param), f)
+    """Perp of E(t) at a formal or integer t: omega H(t)^perp omega, the
+    substitution f(x) -> f(t, x) read through the transpose, which sums
+    t^|sigma/rho| s_rho over the vertical strips sigma/rho."""
+    return _omega(H_perp(t_param, _omega(f)))
 
 
 def op_I(f):
@@ -54,7 +83,8 @@ def op_I(f):
 
 
 def op_I_inv(f):
-    """Inverse of op_I: the perp of the alternating elementary series E(-1)."""
+    """Inverse of op_I: the perp of the alternating elementary series
+    E(-1), that is f(x) -> f(-1, x) read through the transpose."""
     return E_perp(-1, f)
 
 

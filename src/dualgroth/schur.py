@@ -11,9 +11,11 @@ disconnected shape mu * nu.  lr_coeff reads one coefficient from the
 skew table of its larger factor.  A direct lattice-word scan of one shape
 wins only on queries that both answer in under about 1 ms, and it recurses
 once per cell, so it lives in the tests as the oracle for the kernel.
-ssyt_poly evaluates s_la in n variables by the branching rule, peeling
-the horizontal strip of entries n; it serves to_polynomial and the lift
-of a symmetric polynomial back to the Schur basis.
+The branching rule s_la(t, x) = sum of t^|la/mu| s_mu(x) over the
+horizontal strips la/mu lives in one cached table per shape, _branching:
+ssyt_poly reads it to evaluate s_la in n variables, peeling the strip of
+entries n, for to_polynomial and the lift of a symmetric polynomial back
+to the Schur basis, and the H(t) and E(t) perps read it as f -> f(t, x).
 The cached tables and polynomials are read-only mappings.
 """
 
@@ -381,22 +383,38 @@ def hall(F, f):
 # is the independent one that the symmetry-gate suite and the tests run.
 
 @cache
+def _branching(la):
+    """The branching table of la: a tuple whose entry k, for k = 0..la_1,
+    is the read-only row {mu: 1} over the mu with la/mu a horizontal strip
+    of k cells.
+
+    Branching rule (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.5): s_la(t, x) = sum over those mu of t^|la/mu| s_mu(x), and they
+    are the interval from (la_2, la_3, ...) to la, which holds a shape of
+    every size from |la| - la_1 to |la|.
+    """
+    rows, total = [{} for _ in range(sum(la[:1]) + 1)], size(la)
+    for mu in interval(la[1:], la):
+        rows[total - size(mu)][mu] = 1
+    return tuple(MappingProxyType(row) for row in rows)
+
+
+@cache
 def ssyt_poly(la, n):
     """Schur polynomial s_la(x_1..x_n) as a raw int dict (read-only).
 
-    Branching rule (Macdonald, Symmetric Functions and Hall Polynomials,
-    I.5): the entries n of a semistandard tableau form a horizontal strip
-    la/mu, so s_la(x_1..x_n) = sum over such mu of s_mu(x_1..x_{n-1})
-    x_n^|la/mu|; those mu are the interval from (la_2, la_3, ...) to la.
+    The entries n of a semistandard tableau form a horizontal strip la/mu,
+    so s_la(x_1..x_n) = sum over such mu of s_mu(x_1..x_{n-1}) x_n^|la/mu|,
+    read from the branching table of la.
     """
     if not la:
         return MappingProxyType({(0,) * n: 1})
     if len(la) > n:
         return MappingProxyType({})
-    out, total = {}, size(la)
-    for mu in interval(la[1:], la):
-        k = total - size(mu)
-        add_terms(out, ((e + (k,), c) for e, c in ssyt_poly(mu, n - 1).items()))
+    out = {}
+    for k, row in enumerate(_branching(la)):
+        add_terms(out, ((e + (k,), c) for mu in row
+                        for e, c in ssyt_poly(mu, n - 1).items()))
     return MappingProxyType(out)
 
 

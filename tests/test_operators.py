@@ -3,17 +3,19 @@ from functools import cache
 
 import pytest
 
+from dualgroth import operators, schur as schur_module
 from dualgroth.groth import G_truncated, g_skew, g_to_schur, schur_to_g
-from dualgroth.operators import (E_perp, H_perp, IncidenceFn, apply_operator,
-                                 expand_skew_sum, inc_convolve, inc_delta,
-                                 inc_it, inc_jt, inc_mobius, inc_zeta, op_I,
-                                 op_I_inv, perp, skew_pieri, telescoping_X,
-                                 tilde_c, tilde_d)
+from dualgroth.operators import (E_perp, H_perp, IncidenceFn, _folded,
+                                 apply_operator, expand_skew_sum, inc_convolve,
+                                 inc_delta, inc_it, inc_jt, inc_mobius,
+                                 inc_zeta, op_I, op_I_inv, perp, skew_pieri,
+                                 telescoping_X, tilde_c, tilde_d)
 from dualgroth.partitions import (contains, interval, is_rook_strip, mobius,
                                   partitions_of, partitions_up_to, size,
                                   subpartitions)
-from dualgroth.schur import (E_series, H_series, SymFunc, TruncSeries, _skew,
-                             e_gen, h_gen, hall, p_gen, schur, series_mul)
+from dualgroth.schur import (E_series, H_series, SymFunc, TruncSeries,
+                             _branching, _skew, e_gen, h_gen, hall, p_gen,
+                             schur, series_mul)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
 from lr_oracle import lr_scan
 
@@ -113,6 +115,70 @@ def test_perp_matches_coproduct_scan_up_to_8():
         assert E_perp(T, f) == _coproduct_scan_perp(E_series(n), f)
         G = G_truncated((2, 1), max(n, 3))
         assert perp(G, f) == _coproduct_scan_perp(G, f), sigma
+
+
+T_VALUES = (T, 0, 1, -1, 2)
+
+
+def _random_f(rng):
+    # a few Schur terms of size <= 7 with t-polynomial coefficients
+    shapes = partitions_up_to(7)
+    return SymFunc({rng.choice(shapes): TPoly([rng.randint(-3, 3) for _ in range(3)])
+                    for _ in range(rng.randint(1, 6))})
+
+
+def test_h_e_perp_match_the_lr_route_up_to_8():
+    # the branching rule against the perp of the truncated series, which
+    # reads s_{sigma/tau} for each one-row (one-column) tau from _skew
+    for sigma in partitions_up_to(8):
+        f, n = schur(sigma), size(sigma)
+        for t in T_VALUES:
+            assert H_perp(t, f) == perp(H_series(n, t), f), (sigma, t)
+            assert E_perp(t, f) == perp(E_series(n, t), f), (sigma, t)
+
+
+def test_h_e_perp_match_the_lr_route_on_random_sums():
+    rng = random.Random(11)
+    fs = [_random_f(rng) for _ in range(30)]
+    assert sum(len(f.terms) > 1 for f in fs) >= 20
+    for f in fs:
+        n = f.degree()
+        for t in T_VALUES:
+            assert_same_terms(H_perp(t, f).terms, perp(H_series(n, t), f).terms)
+            assert_same_terms(E_perp(t, f).terms, perp(E_series(n, t), f).terms)
+        assert op_I_inv(op_I(f)) == f
+        assert op_I(op_I_inv(f)) == f
+
+
+def test_h_e_perps_reach_no_lr_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reached the LR route")
+
+    monkeypatch.setattr(operators, "perp", refuse)
+    monkeypatch.setattr(operators, "_skew", refuse)
+    monkeypatch.setattr(schur_module, "_skew", refuse)
+    f = g_to_schur((4, 2, 1)) + schur((3, 3)).scale(T)
+    for t in T_VALUES:
+        H_perp(t, f)
+        E_perp(t, f)
+    op_I(f)
+    op_I_inv(f)
+
+
+def test_branching_tables_and_folded_rows_are_read_only():
+    table = _branching((3, 1))
+    assert table == ({(3, 1): 1}, {(3,): 1, (2, 1): 1}, {(2,): 1, (1, 1): 1}, {(1,): 1})
+    assert _branching(()) == ({(): 1},)
+    with pytest.raises(TypeError):
+        table[1][(3,)] = 5
+    with pytest.raises(TypeError):
+        table[1] = {}
+    row = _folded((3, 1), -1)
+    assert row == {(3, 1): 1, (3,): -1, (2, 1): -1, (2,): 1, (1, 1): 1, (1,): -1}
+    with pytest.raises(TypeError):
+        row[(3,)] = 7
+    assert _folded((3, 1), 0) == {(3, 1): 1}
+    assert _branching((3, 1)) == table and _folded((3, 1), -1) == row
 
 
 def test_op_I_inv_matches_rook_strip_sum():

@@ -1,10 +1,11 @@
 """Every registered suite runs green at its documented default bound."""
 
 import json
+from functools import cache
 
 import pytest
 
-from dualgroth import suites
+from dualgroth import operators, suites
 from dualgroth.groth import rpp_generating_poly
 from dualgroth.partitions import format_skew, interval, size
 from dualgroth.schur import schur, to_polynomial
@@ -159,3 +160,29 @@ def test_g_coproduct_fields_hold_an_exponent_of_la_1(case):
     # la_1 = 2^j columns give x_v^(2^j), the widest exponent: the field is
     # one bit wider than 2^j - 1 needs, and a narrower one fails these cases
     assert dict(iter_cases("g-coproduct", 8))[case]() == (True, None, None)
+
+
+def _drop_strip(sigma, table):
+    # s_(2,1)(t, x) loses its strip to (2,)
+    if sigma != (2, 1):
+        return table
+    return (table[0], {(1, 1): 1}) + table[2:]
+
+
+def _power_k_minus_1(sigma, table):
+    # a strip of k >= 1 cells weighted t^(k-1)
+    return ({**table[0], **table[1]},) + table[2:] if len(table) > 1 else table
+
+
+@pytest.mark.parametrize("mutate", [_drop_strip, _power_k_minus_1],
+                         ids=["drop-strip", "t^(k-1)"])
+@pytest.mark.parametrize("name", ["i-inverse", "h-perp-basis"])
+def test_perp_suites_see_the_branching_rows(monkeypatch, name, mutate):
+    # H(t)^perp reads the branching table at a formal t and its folded
+    # rows at an integer t; a fresh cache of folded rows reads the mutated
+    # table, so both routes go wrong
+    branching = operators._branching
+    monkeypatch.setattr(operators, "_branching", lambda sigma: mutate(sigma, branching(sigma)))
+    monkeypatch.setattr(operators, "_folded", cache(operators._folded.__wrapped__))
+    results = run_suite(name)
+    assert any(not ok for _, ok, _, _ in results)
