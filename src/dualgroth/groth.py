@@ -31,12 +31,11 @@ strict) is its argument.
 """
 
 from functools import cache
-from itertools import product
 from types import MappingProxyType
 
-from .partitions import (cells, contains, interval, partitions_of_containing,
-                         size, skew_half_turn, skew_normal_form, skew_pieces,
-                         transpose)
+from .partitions import (_box, cells, contains, interval,
+                         partitions_of_containing, size, skew_half_turn,
+                         skew_normal_form, skew_pieces, transpose)
 from .schur import SymFunc, TensorElem, TruncSeries, hall, schur_expand_raw
 from .tpoly import ZERO, _coerce, add_terms, sum_rows
 
@@ -172,16 +171,19 @@ def _fillings(nu, k, strict):
     too.  Its entries equal to k form a horizontal strip in rows k+1, ...
     (removable corners of nu, when strict).  Peeling them keeps nu[:k] and
     leaves every later row i between nu[i+1] and nu[i], and when strict
-    at least nu[i]-1, each peeled cell flipping the sign.  Every caller
-    passes strict positionally, so each table has one cache key.
+    at least nu[i]-1, each peeled cell flipping the sign: a box of rows,
+    partitions._box.  Every caller passes strict positionally, so each
+    table has one cache key.
     """
     if k <= 0:
         return MappingProxyType({nu: 1})
     tail = nu[k:]
+    floor = tail[1:] + (0,)
+    if strict:
+        floor = tuple(max(lo, hi - 1) for hi, lo in zip(tail, floor))
     acc = {}
-    for rows in product(*(range(max(lo, hi - 1) if strict else lo, hi + 1)
-                           for hi, lo in zip(tail, tail[1:] + (0,)))):
-        rho = nu[:k] + tuple(r for r in rows if r)
+    for rows in _box(floor, tail):
+        rho = nu[:k] + rows
         table = _fillings(rho, k - 1, strict).items()
         if strict and (size(tail) - sum(rows)) % 2:
             table = ((la, -c) for la, c in table)

@@ -10,17 +10,19 @@ identity), so it reads the branching table of each Schur term and builds
 no series; E(t)^perp = omega H(t)^perp omega reads the table of the
 transpose.  I = H(1)^perp and I^-1 = E(-1)^perp.  c-tilde reads one skew
 g under I by the interval identity I(g_{la/mu}) = sum over kappa in
-[mu, la] of g_{la/kappa}, which the i-skew suite checks.
+[mu, la] of g_{la/kappa}, which the i-skew suite checks.  The incidence
+functions with strip supports list them per shape, without a scan over
+the comparable pairs: the Moebius function reads the box of rook strips
+and j_t the vertical strips removed from each shape.
 """
 
 from functools import cache
 from types import MappingProxyType
 
 from .groth import G_truncated, d_coeff, g_skew, schur_to_g
-from .partitions import (a_statistic, column_count, contains,
-                         horizontal_strip_additions, is_vertical_strip,
-                         mobius, size, subpartitions, transpose,
-                         vertical_strip_removals)
+from .partitions import (_box, a_statistic, column_count, contains,
+                         horizontal_strip_additions, size, subpartitions,
+                         transpose, vertical_strip_removals)
 from .schur import SymFunc, _branching, _skew
 from .tpoly import (ONE, T, ZERO, TPoly, _coerce, add_terms, binomial_general,
                     sum_rows)
@@ -155,16 +157,37 @@ class IncidenceFn:
 
 def inc_convolve(f, g):
     """Interval convolution (fg)(mu, la) = sum over mu <= nu <= la of
-    f(mu, nu) g(nu, la), over the supports: f(mu, nu) meets g(nu, *)."""
+    f(mu, nu) g(nu, la), over the supports: f(mu, nu) meets g(nu, *).
+
+    g's row at nu splits into int rows {la: coefficient of t^d in
+    g(nu, la)}, one per power d, and the row of fg at mu is the sum_rows
+    of f(mu, nu) t^d times each of them, one mu at a time; no TPoly
+    product is taken per (mu, nu, la).
+    """
     if f.ground != g.ground:
         raise ValueError("ground mismatch")
-    from_lower = {}
+    split = {}
     for (nu, la), b in g.values.items():
-        from_lower.setdefault(nu, []).append((la, b))
-    out = {}
+        rows = split.setdefault(nu, [])
+        rows.extend({} for _ in range(len(b.coeffs) - len(rows)))
+        for row, x in zip(rows, b.coeffs):
+            if x:
+                row[la] = x
+    lower = {}
     for (mu, nu), a in f.values.items():
-        add_terms(out, (((mu, la), a * b) for la, b in from_lower.get(nu, ())))
+        lower.setdefault(mu, []).append((nu, a))
+    out = {}
+    for mu, pairs in lower.items():
+        row = sum_rows([(_times_t(a, d), part) for nu, a in pairs
+                        for d, part in enumerate(split.get(nu, ()))])
+        out.update(((mu, la), c) for la, c in row.items())
     return IncidenceFn(f.ground, out)
+
+
+@cache
+def _times_t(a, d):
+    """a t^d; an incidence function takes few values, so each is built once."""
+    return a * T ** d
 
 
 def inc_delta(ground):
@@ -178,12 +201,16 @@ def inc_zeta(ground):
 
 
 def inc_mobius(ground):
+    """Moebius function: (-1)^|nu/mu| on the rook strips nu/mu, the box
+    max(nu_{i+1}, nu_i - 1) <= mu_i <= nu_i of each nu inside ground."""
     ground = tuple(ground)
+    sign = (ONE, -ONE)
     vals = {}
-    for mu, nu in _comparable_pairs(ground):
-        m = mobius(mu, nu)
-        if m:
-            vals[(mu, nu)] = TPoly.const(m)
+    for nu in subpartitions(ground):
+        n = size(nu)
+        floor = tuple(max(below, x - 1) for x, below in zip(nu, nu[1:] + (0,)))
+        for mu in _box(floor, nu):
+            vals[(mu, nu)] = sign[(n - sum(mu)) % 2]
     return IncidenceFn(ground, vals)
 
 
@@ -199,13 +226,16 @@ def inc_jt(ground):
     (-1)^|la/mu| t^c (t-1)^(|la/mu| - c) with c the column count."""
     ground = tuple(ground)
     vals = {}
-    for mu, la in _comparable_pairs(ground):
-        if not is_vertical_strip(la, mu):
-            continue
-        ncells = size(la) - size(mu)
-        c = column_count(la, mu)
-        vals[(mu, la)] = (T ** c) * ((T - ONE) ** (ncells - c)) * ((-1) ** ncells)
+    for la in subpartitions(ground):
+        for mu in vertical_strip_removals(la):
+            vals[(mu, la)] = _jt_value(size(la) - size(mu), column_count(la, mu))
     return IncidenceFn(ground, vals)
+
+
+@cache
+def _jt_value(ncells, c):
+    """j_t on a vertical strip of ncells cells in c columns."""
+    return (T ** c) * ((T - ONE) ** (ncells - c)) * ((-1) ** ncells)
 
 
 def telescoping_X(q):
@@ -256,10 +286,14 @@ def skew_pieri(k, mu, nu):
 
 
 def expand_skew_sum(formal):
-    """Evaluate a formal {(la, eta): int} sum into a SymFunc: each Schur
-    coefficient k of a g_skew term scales the one-entry table {mu: c}."""
-    return SymFunc()._like(sum_rows([(k, {mu: c}) for (la, eta), c in formal.items()
-                                     for mu, k in g_skew(la, eta).terms.items()]))
+    """Evaluate a formal {(la, eta): int} sum into a SymFunc: c times the
+    integer Schur coefficients of each g_skew term, added into one dict."""
+    acc = {}
+    get = acc.get
+    for (la, eta), c in formal.items():
+        for mu, k in g_skew(la, eta).terms.items():
+            acc[mu] = get(mu, 0) + c * k.as_int()
+    return SymFunc()._like(sum_rows([(ONE, acc)]))
 
 
 def tilde_c(la, mu, nu):

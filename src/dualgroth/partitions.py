@@ -5,16 +5,23 @@ trailing zeros; the empty partition is ``()``.  All comparisons pad with
 zeros on the fly.  A skew shape is an ordered pair ``(outer, inner)`` with
 ``inner`` contained in ``outer``.
 
-Every enumerator reads one walk, ``_between(lo, hi, n)``: the partitions
-of n that lie between lo and hi row by row, built one row at a time and
-already in reverse-lex order.  An interval [mu, la] is the walk between mu
-and la at each size; the partitions of n that contain la lie between la
-and n^n; the shapes that add a horizontal strip of k cells to mu lie
-between mu and (mu_1 + k, mu_1, mu_2, ...), and those that la loses a
-horizontal strip to form the interval [(la_2, la_3, ...), la].
+The sized enumerations read one walk, ``_between(lo, hi, n)``: the
+partitions of n that lie between lo and hi row by row, built one row at a
+time and already in reverse-lex order.  An interval [mu, la] is the walk
+between mu and la at each size; the partitions of n that contain la lie
+between la and n^n; the shapes that add a horizontal strip of k cells to
+mu lie between mu and (mu_1 + k, mu_1, mu_2, ...).
+
+The strips of a shape read ``_box(lo, hi)`` instead: when lo_i >= hi_{i+1}
+on every row, every vector between lo and hi is a partition, so the shapes
+between them are a product of row ranges, with no walk and no size bound.
+The shapes that la loses a horizontal strip to are the box from
+(la_2, la_3, ...) to la, and those it loses a vertical strip to are the
+transposes of that box for the transpose of la.
 """
 
 from functools import cache
+from itertools import product
 from operator import le
 
 
@@ -212,11 +219,8 @@ def a_statistic(alpha, beta):
 
     Out-of-range parts read as zero.
     """
-    def part(p, i):
-        return p[i - 1] if 1 <= i <= len(p) else 0
-
-    return sum(1 for i in range(1, len(beta) + 1)
-               if part(beta, i) > part(alpha, i + 1) and part(beta, i) > part(beta, i + 1))
+    return sum(b > a and b > below for b, a, below
+               in zip(beta, alpha[1:] + (0,) * len(beta), beta[1:] + (0,)))
 
 
 @cache
@@ -253,10 +257,25 @@ def vertical_strip_additions(la, k):
 
 def vertical_strip_removals(nu):
     """All eta inside nu with nu/eta a vertical strip, canonical order: the
-    transposes of interval(nu'[1:], nu'), the shapes that the transpose
-    nu' loses a horizontal strip to."""
+    transposes of the box from nu'[1:] to nu', the shapes that the
+    transpose nu' loses a horizontal strip to."""
     nut = transpose(nu)
-    return sorted([transpose(eta) for eta in interval(nut[1:], nut)], key=sort_key)
+    return sorted([transpose(eta) for eta in _box(nut[1:], nut)], key=sort_key)
+
+
+def _box(lo, hi):
+    """The partitions nu with lo_i <= nu_i <= hi_i on every row, in
+    descending tuple order; valid when lo_i >= hi_{i+1} on every row.
+
+    Then nu_i >= lo_i >= hi_{i+1} >= nu_{i+1}, so every row vector of the
+    box is weakly decreasing and the box is a product of row ranges, each
+    from hi_i down to lo_i; a vector is a partition once its trailing
+    zeros go, and dropping them keeps the order.  lo may be shorter than
+    hi and is padded with zeros.
+    """
+    lo = lo + (0,) * (len(hi) - len(lo))
+    return [nu[:len(nu) - nu.count(0)]
+            for nu in product(*[range(h, x - 1, -1) for h, x in zip(hi, lo)])]
 
 
 def _between(lo, hi, n):

@@ -22,7 +22,7 @@ The cached tables and polynomials are read-only mappings.
 from functools import cache
 from types import MappingProxyType
 
-from .partitions import (contains, interval, size, sort_key, subpartitions,
+from .partitions import (_box, contains, size, sort_key, subpartitions,
                          transpose)
 from .tpoly import (ONE, T, ZERO, LinComb, MultiPoly, TPoly, _coerce,
                     add_terms, sum_rows)
@@ -390,12 +390,13 @@ def _branching(la):
 
     Branching rule (Macdonald, Symmetric Functions and Hall Polynomials,
     I.5): s_la(t, x) = sum over those mu of t^|la/mu| s_mu(x), and they
-    are the interval from (la_2, la_3, ...) to la, which holds a shape of
-    every size from |la| - la_1 to |la|.
+    are the box from (la_2, la_3, ...) to la, which holds a shape of
+    every size from |la| - la_1 to |la|; each row lists its shapes in
+    reverse-lex order.
     """
     rows, total = [{} for _ in range(sum(la[:1]) + 1)], size(la)
-    for mu in interval(la[1:], la):
-        rows[total - size(mu)][mu] = 1
+    for mu in _box(la[1:], la):
+        rows[total - sum(mu)][mu] = 1
     return tuple(MappingProxyType(row) for row in rows)
 
 
@@ -437,21 +438,30 @@ def schur_expand_raw(p, n):
     Returns {partition: coefficient} covering every partition with at most
     n rows; repeatedly strips c * s_la for the lex-greatest surviving
     monomial c * x^la.  Raises ValueError exactly when p is not symmetric.
-    Every other monomial of s_la is lex-smaller than x^la (Kostka
-    unitriangularity), so each strip lowers the greatest exponent and the
-    loop ends.  It ends without error only if p is a sum of Schur
-    polynomials, hence symmetric; a symmetric p stays symmetric after
-    each strip, so its greatest exponent is always weakly decreasing.
+    It ends without error only if p is a sum of Schur polynomials, hence
+    symmetric; a symmetric p stays symmetric after each strip, so its
+    greatest exponent is always weakly decreasing.
+
+    The loop checks that each strip lowers the greatest exponent, and
+    raises RuntimeError, naming s_la, when one does not: ssyt_poly(la, n)
+    is then wrong, since x^la is its leading monomial with coefficient 1
+    (Kostka unitriangularity).  Vectors of nonnegative integers admit no
+    infinite lex-descending chain, so the loop ends whatever ssyt_poly
+    returns.
     """
     p = {e: c for e, c in p.items() if c}
     out = {}
     while p:
         exp = max(p)
+        if out and exp >= top:
+            raise RuntimeError("the lift of s_%s in %d variables did not lower "
+                               "the leading monomial" % (la, n))
         if any(exp[i] < exp[i + 1] for i in range(len(exp) - 1)):
             raise ValueError("input polynomial is not symmetric")
         la = tuple(x for x in exp if x)
         c = p[exp]
         out[la] = c
+        top = exp
         add_terms(p, ((e2, -c * c2) for e2, c2 in ssyt_poly(la, n).items()))
     return out
 

@@ -5,12 +5,14 @@ import pytest
 
 from dualgroth import operators, schur as schur_module
 from dualgroth.groth import G_truncated, g_skew, g_to_schur, schur_to_g
-from dualgroth.operators import (E_perp, H_perp, IncidenceFn, _folded,
-                                 apply_operator, expand_skew_sum, inc_convolve,
-                                 inc_delta, inc_it, inc_jt, inc_mobius,
-                                 inc_zeta, op_I, op_I_inv, perp, skew_pieri,
-                                 telescoping_X, tilde_c, tilde_d)
-from dualgroth.partitions import (contains, interval, is_rook_strip, mobius,
+from dualgroth.operators import (E_perp, H_perp, IncidenceFn,
+                                 _comparable_pairs, _folded, apply_operator,
+                                 expand_skew_sum, inc_convolve, inc_delta,
+                                 inc_it, inc_jt, inc_mobius, inc_zeta, op_I,
+                                 op_I_inv, perp, skew_pieri, telescoping_X,
+                                 tilde_c, tilde_d)
+from dualgroth.partitions import (column_count, contains, interval,
+                                  is_rook_strip, is_vertical_strip, mobius,
                                   partitions_of, partitions_up_to, size,
                                   subpartitions)
 from dualgroth.schur import (E_series, H_series, SymFunc, TruncSeries,
@@ -268,6 +270,28 @@ def test_incidence_it_jt_inverse():
         for nu in subpartitions(ground):
             if mobius(mu, nu):
                 assert jt1.value(mu, nu).as_int() == mobius(mu, nu)
+
+
+def _mobius_by_filter(ground):
+    # oracle: the Moebius function on every comparable pair
+    return IncidenceFn(ground, {(mu, nu): mobius(mu, nu)
+                                for mu, nu in _comparable_pairs(ground)})
+
+
+def _jt_by_filter(ground):
+    # oracle: j_t on the comparable pairs that are vertical strips
+    vals = {}
+    for mu, la in _comparable_pairs(ground):
+        if is_vertical_strip(la, mu):
+            n, c = size(la) - size(mu), column_count(la, mu)
+            vals[(mu, la)] = T ** c * (T - ONE) ** (n - c) * (-1) ** n
+    return IncidenceFn(ground, vals)
+
+
+def test_mobius_and_jt_match_the_filter_over_comparable_pairs():
+    for ground in subpartitions((5, 4, 3, 2, 1)):
+        assert inc_mobius(ground) == _mobius_by_filter(ground), ground
+        assert inc_jt(ground) == _jt_by_filter(ground), ground
 
 
 @cache

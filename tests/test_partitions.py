@@ -1,6 +1,6 @@
 import pytest
 
-from dualgroth.partitions import (_between, a_statistic, as_partition,
+from dualgroth.partitions import (_between, _box, a_statistic, as_partition,
                                   cells, column_count, contains,
                                   format_partition, format_skew,
                                   horizontal_strip_additions, interval,
@@ -12,6 +12,7 @@ from dualgroth.partitions import (_between, a_statistic, as_partition,
                                   strip_kind, subpartitions, transpose,
                                   vertical_strip_additions,
                                   vertical_strip_removals)
+from dualgroth.schur import _branching
 
 
 def test_as_partition_normalizes():
@@ -267,6 +268,20 @@ def test_between_matches_a_filter_of_partitions_of():
                 assert _between(lo, hi, n) == want, (lo, hi, n)
 
 
+def test_box_matches_a_filter_of_interval():
+    # every lo inside hi with |hi| <= 8 and lo_i >= hi_{i+1} on every row:
+    # the shapes of [(), hi] that contain lo, in descending tuple order
+    boxes = 0
+    for hi in partitions_up_to(8):
+        for lo in subpartitions(hi):
+            if all(x >= y for x, y in zip(lo + (0,) * len(hi), hi[1:])):
+                want = sorted((nu for nu in interval((), hi) if contains(lo, nu)),
+                              reverse=True)
+                assert _box(lo, hi) == want, (lo, hi)
+                boxes += 1
+    assert boxes == 434  # the sum over hi of prod (hi_i - hi_{i+1} + 1)
+
+
 def test_interval_and_partition_counts():
     # Catalan C_{k+1} shapes inside the staircase (k, ..., 1), C(10, 5)
     # inside the 5 x 5 box, and p(40)
@@ -297,15 +312,18 @@ def test_vertical_strip_removals_match_bruteforce():
 
 
 def test_horizontal_strip_removals_match_bruteforce():
-    # the mu with la/mu a horizontal strip are the interval [la[1:], la];
-    # the pool is a filter of partitions_of, not subpartitions, which
-    # reads the interval under test
+    # the mu with la/mu a horizontal strip are the interval [la[1:], la],
+    # and row k of the branching table of la lists those of size |la| - k
+    # in the same order; the pool is a filter of partitions_of, not
+    # subpartitions, which reads the interval under test
     for la in partitions_up_to(7):
         strips = interval(la[1:], la)
+        table = _branching(la)
         for k in range(size(la) + 2):
             brute = [mu for mu in partitions_of(size(la) - k)
                      if contains(mu, la) and is_horizontal_strip(la, mu)]
             assert [mu for mu in strips if size(mu) == size(la) - k] == brute
+            assert list(table[k] if k < len(table) else ()) == brute, (la, k)
 
 
 def test_rook_strip_is_mobius_support():

@@ -1,10 +1,13 @@
 import random
+import time
+from functools import cache
 from itertools import permutations, product
 from math import comb
 from types import ModuleType
 
 import pytest
 
+from dualgroth import schur as schur_module
 from dualgroth.partitions import (contains, horizontal_strip_additions,
                                   partitions_of, partitions_up_to, size,
                                   sort_key, subpartitions, transpose)
@@ -338,6 +341,24 @@ def test_lift_raises_exactly_on_asymmetric_input():
             add_terms(back, ((e, c * k) for e, k in ssyt_poly(la, n).items()))
         assert back == {e: c for e, c in p.items() if c}
     assert seen == {False, True}
+
+
+def test_lift_fails_fast_on_a_wrong_schur_polynomial(monkeypatch):
+    # without the strip of sigma_1 cells in each branching table,
+    # ssyt_poly((2, 2), 3) lacks its leading monomial x1^2 x2^2, which then
+    # never cancels: the lift must raise at once instead of looping
+    p = dict(ssyt_poly((2, 2), 3))
+    real = schur_module._branching.__wrapped__
+    ssyt_poly.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(schur_module, "_branching", cache(lambda la: real(la)[:-1]))
+            start = time.perf_counter()
+            with pytest.raises(RuntimeError, match=r"s_\(2, 2\)"):
+                schur_expand_raw(p, 3)
+            assert time.perf_counter() - start < 1
+    finally:
+        ssyt_poly.cache_clear()
 
 
 def test_to_polynomial_examples():
