@@ -33,10 +33,10 @@ strict) is its argument.
 from functools import cache
 from types import MappingProxyType
 
-from .partitions import (_box, cells, contains, interval,
-                         partitions_of_containing, size, skew_half_turn,
-                         skew_normal_form, skew_pieces, transpose)
-from .schur import SymFunc, TensorElem, TruncSeries, hall, schur_expand_raw
+from .partitions import (_box, cells, contains, partitions_of_containing,
+                         size, skew_half_turn, skew_normal_form, skew_pieces,
+                         transpose)
+from .schur import SymFunc, TruncSeries, hall, schur_expand_raw
 from .tpoly import ZERO, _coerce, add_terms, sum_rows
 
 
@@ -303,18 +303,3 @@ def d_coeff(la, mu, nu):
     f = g_to_schur(mu) * g_to_schur(nu)
     return hall(G_truncated(la, cap), f).as_int()
 
-
-def g_coproduct(outer, inner=()):
-    """Coproduct of g_{outer/inner} in the g (x) g basis.
-
-    The sum over intermediate shapes nu of g_{outer/nu} (x) g_{nu/inner},
-    with each skew factor expanded into straight g's.
-    """
-    outer, inner = tuple(outer), tuple(inner)
-    acc = {}
-    for nu in interval(inner, outer):
-        left = schur_to_g(g_skew(outer, nu))
-        right = schur_to_g(g_skew(nu, inner))
-        add_terms(acc, (((a, b), ca * cb) for a, ca in left.items()
-                        for b, cb in right.items()))
-    return TensorElem(acc)

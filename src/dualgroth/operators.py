@@ -138,14 +138,22 @@ class IncidenceFn:
                 clean[(tuple(mu), tuple(nu))] = c
         self.values = clean
 
+    @staticmethod
+    def _clean(ground, values):
+        """An IncidenceFn over values an engine builder made clean (nonzero
+        TPolys on pairs of the ground's own subpartitions), unchecked."""
+        out = object.__new__(IncidenceFn)
+        out.ground, out.values = ground, values
+        return out
+
     def value(self, mu, nu):
         return self.values.get((tuple(mu), tuple(nu)), ZERO)
 
     def substitute(self, v):
-        """Specialize t to the integer v."""
-        return IncidenceFn(self.ground,
-                           {key: TPoly.const(c.evaluate(v))
-                            for key, c in self.values.items()})
+        """Specialize t to the integer v; pairs whose value becomes 0 drop."""
+        return IncidenceFn._clean(self.ground,
+                                  {key: TPoly.const(x) for key, c in self.values.items()
+                                   if (x := c.evaluate(v))})
 
     def __eq__(self, other):
         return (isinstance(other, IncidenceFn) and self.ground == other.ground
@@ -181,7 +189,7 @@ def inc_convolve(f, g):
         row = sum_rows([(_times_t(a, d), part) for nu, a in pairs
                         for d, part in enumerate(split.get(nu, ()))])
         out.update(((mu, la), c) for la, c in row.items())
-    return IncidenceFn(f.ground, out)
+    return IncidenceFn._clean(f.ground, out)
 
 
 @cache
@@ -192,12 +200,12 @@ def _times_t(a, d):
 
 def inc_delta(ground):
     ground = tuple(ground)
-    return IncidenceFn(ground, {(mu, mu): ONE for mu in subpartitions(ground)})
+    return IncidenceFn._clean(ground, {(mu, mu): ONE for mu in subpartitions(ground)})
 
 
 def inc_zeta(ground):
     ground = tuple(ground)
-    return IncidenceFn(ground, {pair: ONE for pair in _comparable_pairs(ground)})
+    return IncidenceFn._clean(ground, {pair: ONE for pair in _comparable_pairs(ground)})
 
 
 def inc_mobius(ground):
@@ -211,14 +219,14 @@ def inc_mobius(ground):
         floor = tuple(max(below, x - 1) for x, below in zip(nu, nu[1:] + (0,)))
         for mu in _box(floor, nu):
             vals[(mu, nu)] = sign[(n - sum(mu)) % 2]
-    return IncidenceFn(ground, vals)
+    return IncidenceFn._clean(ground, vals)
 
 
 def inc_it(ground):
     """i_t(mu, la) = t^(number of columns of la/mu)."""
     ground = tuple(ground)
-    return IncidenceFn(ground, {(mu, la): T ** column_count(la, mu)
-                                for mu, la in _comparable_pairs(ground)})
+    return IncidenceFn._clean(ground, {(mu, la): _times_t(ONE, column_count(la, mu))
+                                       for mu, la in _comparable_pairs(ground)})
 
 
 def inc_jt(ground):
@@ -229,7 +237,7 @@ def inc_jt(ground):
     for la in subpartitions(ground):
         for mu in vertical_strip_removals(la):
             vals[(mu, la)] = _jt_value(size(la) - size(mu), column_count(la, mu))
-    return IncidenceFn(ground, vals)
+    return IncidenceFn._clean(ground, vals)
 
 
 @cache

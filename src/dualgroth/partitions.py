@@ -166,23 +166,6 @@ def is_vertical_strip(outer, inner):
                for i in range(len(outer)))
 
 
-def is_rook_strip(outer, inner):
-    """At most one cell per row and per column (all cells removable corners)."""
-    return is_horizontal_strip(outer, inner) and is_vertical_strip(outer, inner)
-
-
-def strip_kind(outer, inner):
-    """Flags among {'horizontal', 'vertical', 'rook'} for outer/inner."""
-    flags = set()
-    if is_horizontal_strip(outer, inner):
-        flags.add("horizontal")
-    if is_vertical_strip(outer, inner):
-        flags.add("vertical")
-    if "horizontal" in flags and "vertical" in flags:
-        flags.add("rook")
-    return flags
-
-
 def interval(mu, la):
     """All nu with mu <= nu <= la, in canonical order: the walk of each
     size from |mu| to |la| in turn.
@@ -199,19 +182,6 @@ def interval(mu, la):
 def subpartitions(la):
     """All partitions contained in la, canonical order (cached)."""
     return tuple(interval((), la))
-
-
-def mobius(mu, nu):
-    """Moebius function of Young's lattice on the pair (mu, nu).
-
-    Equals (-1)^|nu/mu| when nu/mu is a rook strip, 0 otherwise
-    (including when mu is not contained in nu).
-    """
-    if not contains(mu, nu):
-        return 0
-    if not is_rook_strip(nu, mu):
-        return 0
-    return (-1) ** (size(nu) - size(mu))
 
 
 def a_statistic(alpha, beta):

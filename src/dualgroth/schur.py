@@ -79,7 +79,10 @@ def _skew(sigma, tau):
     packed into one int, a field of |sigma/tau|.bit_length() bits per
     value (a count is at most the number of cells): a column's entries
     build its strip, and one addition adds the strip to the content.
+    A part below 1 raises RuntimeError: its content unpacks to no partition.
     """
+    if min(sigma + tau, default=1) < 1:
+        raise RuntimeError("skew shape %r / %r has a part below 1" % (sigma, tau))
     if not contains(tau, sigma):
         return MappingProxyType({})
     n, bits = len(sigma), (size(sigma) - size(tau)).bit_length()
@@ -261,11 +264,6 @@ def antipode(f):
     """Antipode: s_la -> (-1)^|la| s_(la transposed), linearly extended."""
     return SymFunc(add_terms({}, ((transpose(la), c * (-1) ** size(la))
                                   for la, c in f.terms.items())))
-
-
-def counit(f):
-    """Constant term: the coefficient of the empty Schur function."""
-    return f.coeff(())
 
 
 def phi_t(f):
@@ -473,15 +471,3 @@ def to_polynomial(f, n):
     return MultiPoly(n)._like(sum_rows([(c, ssyt_poly(la, n))
                                         for la, c in f.terms.items()]))
 
-
-def from_polynomial(p):
-    """Lift a symmetric polynomial in n >= deg(p) variables back to a SymFunc.
-
-    The lift is the unique symmetric function of degree <= n restricting
-    to p.  Raises ValueError for too few variables, then from the lift if p
-    is not symmetric.
-    """
-    if p.nvars < p.total_degree():
-        raise ValueError("too few variables: %d for degree %d"
-                         % (p.nvars, p.total_degree()))
-    return SymFunc(schur_expand_raw(p.terms, p.nvars))

@@ -146,13 +146,6 @@ class TPoly:
             out = out * v + c
         return out
 
-    def substitute(self, other):
-        """Compose: replace t by another TPoly."""
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * other + c
-        return out
-
     def text(self):
         """Canonical text, highest power first: ``t^3-3*t^2+3*t-1``."""
         if len(self.coeffs) <= 1:
@@ -373,9 +366,6 @@ class MultiPoly(LinComb):
         exp = [0] * nvars
         exp[i] = 1
         return MultiPoly(nvars, {tuple(exp): ONE})
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def __eq__(self, other):
         return LinComb.__eq__(self, other) and self.nvars == other.nvars

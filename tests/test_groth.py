@@ -2,13 +2,13 @@ import pytest
 
 from dualgroth import groth
 from dualgroth.groth import (G_truncated, c_coeff, d_coeff, enumerate_rpp,
-                             g_coproduct, g_skew, g_to_schur,
-                             rpp_generating_poly, rpp_weight, schur_to_g)
+                             g_skew, g_to_schur, rpp_generating_poly,
+                             rpp_weight, schur_to_g)
 from dualgroth.partitions import (column_count, contains,
                                   partitions_of_containing, partitions_up_to,
                                   size, skew_half_turn, subpartitions)
-from dualgroth.schur import (SymFunc, TensorElem, hall, schur,
-                             schur_expand_raw, raw_is_symmetric, to_polynomial)
+from dualgroth.schur import (SymFunc, hall, schur, schur_expand_raw,
+                             raw_is_symmetric, to_polynomial)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
 from lr_oracle import hook_syt_count, skew_syt_count
 
@@ -366,17 +366,6 @@ def test_d_sum_rule_small():
             total = sum(schur_to_g(g_to_schur(mu) * g_to_schur(nu)).values(),
                         ZERO)
             assert total == ONE
-
-
-def test_g_coproduct_examples():
-    assert g_coproduct((2, 1), (2, 1)) == TensorElem({((), ()): 1})
-    assert g_coproduct((1,), ()) == TensorElem({((), (1,)): 1, ((1,), ()): 1})
-    d = g_coproduct((2, 1), ())
-    # counit leg returns the straight expansion of g_(2,1)
-    left_unit = {nu: c for (mu, nu), c in d.terms.items() if mu == ()}
-    assert as_int_dict(left_unit) == as_int_dict(schur_to_g(g_to_schur((2, 1))))
-    with pytest.raises(ValueError):
-        g_coproduct((1,), (2,))
 
 
 def test_G_truncated_values():

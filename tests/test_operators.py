@@ -12,14 +12,14 @@ from dualgroth.operators import (E_perp, H_perp, IncidenceFn,
                                  op_I_inv, perp, skew_pieri, telescoping_X,
                                  tilde_c, tilde_d)
 from dualgroth.partitions import (column_count, contains, interval,
-                                  is_rook_strip, is_vertical_strip, mobius,
-                                  partitions_of, partitions_up_to, size,
-                                  subpartitions)
+                                  is_vertical_strip, partitions_of,
+                                  partitions_up_to, size, subpartitions)
 from dualgroth.schur import (E_series, H_series, SymFunc, TruncSeries,
                              _branching, _skew, e_gen, h_gen, hall, p_gen,
                              schur, series_mul)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
 from lr_oracle import lr_scan
+from mobius_oracle import is_rook_strip, mobius
 
 
 def as_int_dict(expansion):
@@ -270,6 +270,21 @@ def test_incidence_it_jt_inverse():
         for nu in subpartitions(ground):
             if mobius(mu, nu):
                 assert jt1.value(mu, nu).as_int() == mobius(mu, nu)
+
+
+def test_engine_built_incidence_functions_pass_the_checked_constructor():
+    # the builders skip the constructor's checks; rebuilding through it
+    # must keep every pair and value, so none holds a zero or a pair
+    # outside the ground interval (j_t at t = 0 vanishes off the diagonal)
+    for ground in subpartitions((4, 3, 2, 1))[1:]:
+        it, jt = inc_it(ground), inc_jt(ground)
+        jt0 = jt.substitute(0)
+        built = [inc_delta(ground), inc_zeta(ground), inc_mobius(ground), it, jt,
+                 inc_convolve(it, jt), inc_convolve(jt, inc_zeta(ground)),
+                 it.substitute(2), jt0]
+        for f in built:
+            assert IncidenceFn(ground, f.values) == f, (ground, f)
+        assert jt0.values.keys() < jt.values.keys(), ground
 
 
 def _mobius_by_filter(ground):

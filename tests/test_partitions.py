@@ -4,15 +4,15 @@ from dualgroth.partitions import (_between, _box, a_statistic, as_partition,
                                   cells, column_count, contains,
                                   format_partition, format_skew,
                                   horizontal_strip_additions, interval,
-                                  is_horizontal_strip, is_rook_strip,
-                                  is_vertical_strip, mobius, parse_partition,
-                                  partitions_of, partitions_of_containing,
-                                  partitions_up_to, size, skew_half_turn,
-                                  skew_normal_form, skew_pieces, sort_key,
-                                  strip_kind, subpartitions, transpose,
-                                  vertical_strip_additions,
+                                  is_horizontal_strip, is_vertical_strip,
+                                  parse_partition, partitions_of,
+                                  partitions_of_containing, partitions_up_to,
+                                  size, skew_half_turn, skew_normal_form,
+                                  skew_pieces, sort_key, subpartitions,
+                                  transpose, vertical_strip_additions,
                                   vertical_strip_removals)
 from dualgroth.schur import _branching
+from mobius_oracle import mobius
 
 
 def test_as_partition_normalizes():
@@ -171,23 +171,6 @@ def test_skew_half_turn_turns_the_cells_up_to_9():
         assert column_count(*turned) == column_count(outer, inner)
 
 
-def test_strip_kind_examples():
-    assert strip_kind((2, 1), (1,)) == {"horizontal", "vertical", "rook"}
-    assert strip_kind((2, 2), (1, 1)) == {"vertical"}
-    assert strip_kind((2,), ()) == {"horizontal"}
-
-
-def test_strip_kind_rook_characterization():
-    for la in partitions_up_to(6):
-        for mu in subpartitions(la):
-            flags = strip_kind(la, mu)
-            if "rook" in flags:
-                assert {"horizontal", "vertical"} <= flags
-            ncells = size(la) - size(mu)
-            rook_alt = ("vertical" in flags) and ncells == column_count(la, mu)
-            assert ("rook" in flags) == rook_alt
-
-
 def test_interval_examples():
     assert interval((), (1, 1)) == [(), (1,), (1, 1)]
     assert interval((1,), (2, 1)) == [(1,), (2,), (1, 1), (2, 1)]
@@ -324,13 +307,6 @@ def test_horizontal_strip_removals_match_bruteforce():
                      if contains(mu, la) and is_horizontal_strip(la, mu)]
             assert [mu for mu in strips if size(mu) == size(la) - k] == brute
             assert list(table[k] if k < len(table) else ()) == brute, (la, k)
-
-
-def test_rook_strip_is_mobius_support():
-    for la in partitions_up_to(5):
-        for mu in subpartitions(la):
-            expected = (-1) ** (size(la) - size(mu)) if is_rook_strip(la, mu) else 0
-            assert mobius(mu, la) == expected
 
 
 def test_text_forms_round_trip():

@@ -45,12 +45,6 @@ def test_eval_is_ring_homomorphism():
         assert (a + b).evaluate(v) == a.evaluate(v) + b.evaluate(v)
 
 
-def test_substitute_composes():
-    p = T ** 2 + T
-    assert p.substitute(T - ONE) == (T - ONE) ** 2 + (T - ONE)
-    assert p.substitute(TPoly.const(3)) == TPoly.const(12)
-
-
 def test_canonical_text():
     assert ZERO.text() == "0"
     assert ONE.text() == "1"
