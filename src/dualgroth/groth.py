@@ -134,9 +134,8 @@ def _rpp_packed(outer, inner, nvars):
 
 def unpack_exponents(bits, packed, nvars):
     """{exponent tuple: c} from {packed exponent: c}, fields of `bits` bits."""
-    mask = (1 << bits) - 1
-    return {tuple(x >> bits * i & mask for i in range(nvars)): c
-            for x, c in packed.items()}
+    mask, shifts = (1 << bits) - 1, [bits * i for i in range(nvars)]
+    return {tuple([x >> s & mask for s in shifts]): c for x, c in packed.items()}
 
 
 def rpp_generating_poly(outer, inner, nvars):

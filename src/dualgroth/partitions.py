@@ -22,7 +22,7 @@ transposes of that box for the transpose of la.
 
 from functools import cache
 from itertools import product
-from operator import le
+from operator import ge, le
 
 
 def as_partition(parts):
@@ -31,14 +31,16 @@ def as_partition(parts):
     Raises ValueError unless the parts are weakly decreasing positive
     integers (trailing zeros are stripped).
     """
-    p = tuple(int(x) for x in parts)
+    p = tuple(map(int, parts))
     while p and p[-1] == 0:
         p = p[:-1]
-    for i, x in enumerate(p):
-        if x <= 0:
-            raise ValueError("partition parts must be positive: %r" % (parts,))
-        if i + 1 < len(p) and x < p[i + 1]:
-            raise ValueError("partition parts must be weakly decreasing: %r" % (parts,))
+    if p and not (p[-1] > 0 and all(map(ge, p, p[1:]))):
+        # the first part that breaks a rule names it
+        for i, x in enumerate(p):
+            if x <= 0:
+                raise ValueError("partition parts must be positive: %r" % (parts,))
+            if x < p[i + 1]:
+                raise ValueError("partition parts must be weakly decreasing: %r" % (parts,))
     return p
 
 

@@ -12,18 +12,22 @@ skew table of its larger factor.  A direct lattice-word scan of one shape
 wins only on queries that both answer in under about 1 ms, and it recurses
 once per cell, so it lives in the tests as the oracle for the kernel.
 The branching rule s_la(t, x) = sum of t^|la/mu| s_mu(x) over the
-horizontal strips la/mu lives in one cached table per shape, _branching:
+horizontal strips la/mu lives in one cached table per shape, _branching.
 ssyt_poly reads it to evaluate s_la in n variables, peeling the strip of
-entries n, for to_polynomial and the lift of a symmetric polynomial back
-to the Schur basis, and the H(t) and E(t) perps read it as f -> f(t, x).
-The cached tables and polynomials are read-only mappings.
+entries n, for to_polynomial.  _kostka reads it to count the tableaux of
+each content, peeling the strip of the largest entry, for the lift of a
+symmetric polynomial back to the Schur basis, which reads one monomial
+per orbit and builds no Schur polynomial.  The H(t) and E(t) perps read
+it as f -> f(t, x).  The cached tables and polynomials are read-only
+mappings.
 """
 
 from functools import cache
+from math import factorial
 from types import MappingProxyType
 
-from .partitions import (_box, contains, size, sort_key, subpartitions,
-                         transpose)
+from .partitions import (_box, as_partition, contains, size, sort_key,
+                         subpartitions, transpose)
 from .tpoly import (ONE, T, ZERO, LinComb, MultiPoly, TPoly, _coerce,
                     add_terms, sum_rows)
 
@@ -162,9 +166,14 @@ def _lr_rows(f, g, cap=None):
 
 
 class SymFunc(LinComb):
-    """Finite Schur-basis expansion with TPoly coefficients."""
+    """Finite Schur-basis expansion with TPoly coefficients.
+
+    The constructor reads each key through as_partition, so trailing zeros
+    are dropped and a key that is not a partition raises ValueError.
+    """
 
     __slots__ = ()
+    _key = staticmethod(as_partition)
 
     @staticmethod
     def zero():
@@ -196,21 +205,21 @@ class SymFunc(LinComb):
 
 
 def schur(la):
-    return SymFunc({tuple(la): ONE})
+    return SymFunc({la: ONE})
 
 
 def h_gen(k):
     """Complete homogeneous h_k = s_(k)."""
     if k < 0:
         raise ValueError("h_k needs k >= 0")
-    return SymFunc({(k,) if k else (): ONE})
+    return SymFunc()._like({(k,) if k else (): ONE})
 
 
 def e_gen(k):
     """Elementary e_k = s_(1^k)."""
     if k < 0:
         raise ValueError("e_k needs k >= 0")
-    return SymFunc({(1,) * k: ONE})
+    return SymFunc()._like({(1,) * k: ONE})
 
 
 def p_gen(k):
@@ -262,8 +271,8 @@ def coproduct(f):
 
 def antipode(f):
     """Antipode: s_la -> (-1)^|la| s_(la transposed), linearly extended."""
-    return SymFunc(add_terms({}, ((transpose(la), c * (-1) ** size(la))
-                                  for la, c in f.terms.items())))
+    return SymFunc()._like({transpose(la): -c if size(la) % 2 else c
+                            for la, c in f.terms.items()})
 
 
 def phi_t(f):
@@ -399,6 +408,27 @@ def _branching(la):
 
 
 @cache
+def _kostka(la):
+    """The Kostka row of la: the read-only mapping {mu: K_{la mu}} over the
+    partitions mu of |la|, K_{la mu} the number of semistandard tableaux
+    of shape la and content mu.
+
+    The entries equal to the largest value len(mu) form a horizontal strip
+    la/nu of k = mu's last part cells, and the rest is a tableau of nu of
+    content mu' = mu[:-1], whose last part is at least k.  So the row of
+    la adds (k,) to each such mu' of the row of every nu in
+    _branching(la)[k], k >= 1.
+    """
+    if not la:
+        return MappingProxyType({(): 1})
+    table, out = _branching(la), {}
+    for k in range(1, len(table)):
+        add_terms(out, ((mu + (k,), c) for nu in table[k]
+                        for mu, c in _kostka(nu).items() if not mu or mu[-1] >= k))
+    return MappingProxyType(out)
+
+
+@cache
 def ssyt_poly(la, n):
     """Schur polynomial s_la(x_1..x_n) as a raw int dict (read-only).
 
@@ -434,33 +464,52 @@ def schur_expand_raw(p, n):
     """Expand a symmetric raw polynomial dict over Schur polynomials.
 
     Returns {partition: coefficient} covering every partition with at most
-    n rows; repeatedly strips c * s_la for the lex-greatest surviving
-    monomial c * x^la.  Raises ValueError exactly when p is not symmetric.
-    It ends without error only if p is a sum of Schur polynomials, hence
-    symmetric; a symmetric p stays symmetric after each strip, so its
-    greatest exponent is always weakly decreasing.
+    n rows, in lex-descending order.  Raises ValueError exactly when p is
+    not symmetric.  It reads one monomial per orbit: p is symmetric
+    exactly when every nonzero monomial's descending sort carries the same
+    coefficient and the orbits of the sorted (dominant) monomials, of
+    n!/prod(multiplicity of each value, zeros included)! monomials each,
+    hold as many monomials as p has.  The first condition puts every
+    monomial in the orbit of a dominant one with that one's coefficient,
+    and the count then leaves no member of those orbits out.
 
-    The loop checks that each strip lowers the greatest exponent, and
-    raises RuntimeError, naming s_la, when one does not: ssyt_poly(la, n)
-    is then wrong, since x^la is its leading monomial with coefficient 1
-    (Kostka unitriangularity).  Vectors of nonnegative integers admit no
-    infinite lex-descending chain, so the loop ends whatever ssyt_poly
-    returns.
+    The peel works on the dominant coefficients, keyed by partition: the
+    coefficient of x^mu in s_la(x_1..x_n) is the Kostka number K_{la mu}
+    when mu has at most n rows.  It takes the lex-greatest la, records its
+    coefficient c, and subtracts c times the Kostka row of la on the mu
+    with at most n rows.  By Kostka unitriangularity (K_{la la} = 1, and
+    K_{la mu} = 0 unless mu is dominated by la, hence lex-smaller) each
+    peel lowers the leading partition, and the partitions of bounded size
+    are finite, so the loop ends.  It checks that each peel lowers the
+    leading partition, and raises RuntimeError, naming s_la, when one does
+    not: the Kostka row of la is then wrong.
     """
-    p = {e: c for e, c in p.items() if c}
-    out = {}
-    while p:
-        exp = max(p)
-        if out and exp >= top:
-            raise RuntimeError("the lift of s_%s in %d variables did not lower "
-                               "the leading monomial" % (la, n))
-        if any(exp[i] < exp[i + 1] for i in range(len(exp) - 1)):
+    dominant, orbits, monomials, whole = {}, 0, 0, factorial(n)
+    for e, c in p.items():
+        if not c:
+            continue
+        monomials += 1
+        s = tuple(sorted(e, reverse=True))
+        if p.get(s, 0) != c:
             raise ValueError("input polynomial is not symmetric")
-        la = tuple(x for x in exp if x)
-        c = p[exp]
-        out[la] = c
-        top = exp
-        add_terms(p, ((e2, -c * c2) for e2, c2 in ssyt_poly(la, n).items()))
+        if s == e:
+            dominant[tuple(x for x in e if x)] = c
+            orbit = whole
+            for v in set(e):
+                orbit //= factorial(e.count(v))
+            orbits += orbit
+    if orbits != monomials:
+        raise ValueError("input polynomial is not symmetric")
+    out = {}
+    while dominant:
+        la = max(dominant)
+        if out and la >= top:
+            raise RuntimeError("the lift of s_%s in %d variables did not lower "
+                               "the leading partition" % (top, n))
+        c = out[la] = dominant[la]
+        top = la
+        add_terms(dominant, ((mu, -c * k) for mu, k in _kostka(la).items()
+                             if len(mu) <= n))
     return out
 
 

@@ -278,12 +278,13 @@ def sum_rows(pairs):
 class LinComb:
     """Finite linear combination: a dict from keys to nonzero TPolys.
 
-    The constructor checks keys and coerces coefficients; a builder whose
-    terms are already clean (from add_terms or sum_rows) wraps them with
-    _like instead.  Subclasses fix the key shape (_key) and any state
-    beside the terms, which _like copies.  A cached, shared combination
-    holds its terms in a read-only view (frozen), so arithmetic copies
-    terms with .copy(): a plain dict(...) would walk the view key by key.
+    The constructor checks keys and coerces coefficients, adding those
+    whose keys check to the same key; a builder whose terms are already
+    clean (from add_terms or sum_rows) wraps them with _like instead.
+    Subclasses fix the key shape (_key) and any state beside the terms,
+    which _like copies.  A cached, shared combination holds its terms in
+    a read-only view (frozen), so arithmetic copies terms with .copy(): a
+    plain dict(...) would walk the view key by key.
     """
 
     __slots__ = ("terms",)
@@ -291,9 +292,11 @@ class LinComb:
     def __init__(self, terms=None):
         clean = {}
         for key, c in (terms or {}).items():
-            c = _coerce(c)
+            key, c = self._key(key), _coerce(c)
+            if key in clean:
+                c = clean.pop(key) + c
             if c:
-                clean[self._key(key)] = c
+                clean[key] = c
         self.terms = clean
 
     _key = staticmethod(tuple)

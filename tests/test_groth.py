@@ -10,6 +10,7 @@ from dualgroth.partitions import (column_count, contains,
 from dualgroth.schur import (SymFunc, hall, schur, schur_expand_raw,
                              raw_is_symmetric, to_polynomial)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
+from lift_oracle import peel_lift
 from lr_oracle import hook_syt_count, skew_syt_count
 
 
@@ -97,7 +98,9 @@ def test_skew_g_lift_rejects_asymmetric_transfer(monkeypatch):
 def test_skew_g_matches_transfer_on_the_original_shape_up_to_9():
     # g_skew builds the normal form, or the product of its pieces; the
     # transfer and lift run on the shape as given, empty rows and columns
-    # included
+    # included.  The lift by Kostka rows gives the terms of the peel over
+    # whole Schur polynomials, in the same order.
+    pairs = 0
     for la in partitions_up_to(9):
         for mu in subpartitions(la):
             ncells = size(la) - size(mu)
@@ -105,7 +108,11 @@ def test_skew_g_matches_transfer_on_the_original_shape_up_to_9():
                 continue
             n = min(ncells, len(la))
             raw = rpp_generating_poly(la, mu, n)
-            assert as_int_dict(g_skew(la, mu).terms) == schur_expand_raw(raw, n), (la, mu)
+            lift = schur_expand_raw(raw, n)
+            assert list(lift.items()) == list(peel_lift(raw, n).items()), (la, mu)
+            assert as_int_dict(g_skew(la, mu).terms) == lift, (la, mu)
+            pairs += 1
+    assert pairs == 1399
 
 
 def test_disconnected_diagram_is_the_product_of_its_pieces(monkeypatch):

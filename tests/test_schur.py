@@ -12,7 +12,8 @@ from dualgroth.partitions import (contains, horizontal_strip_additions,
                                   partitions_of, partitions_up_to, size,
                                   sort_key, subpartitions, transpose)
 from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
-                             TruncSeries, _coproduct_pairs, _mul_pair, _skew,
+                             TruncSeries, _coproduct_pairs, _kostka, _mul_pair,
+                             _skew,
                              antipode, coproduct, e_gen, h_gen, hall,
                              is_group_like, lr_coeff, p_gen, phi_t,
                              raw_is_symmetric, schur, schur_expand_raw,
@@ -20,6 +21,7 @@ from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
 from dualgroth.groth import _fillings, schur_to_g
 from dualgroth.operators import perp
 from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO, add_terms, sum_rows
+from lift_oracle import peel_lift
 from lr_oracle import hook_syt_count, lr_scan, skew_syt_count
 
 
@@ -195,12 +197,25 @@ def test_packed_content_holds_a_full_count(j):
     (_skew, ((3, 2, 1), (2,)), (2, 2)),
     (_skew, ((3, 2, 1), (2, 1)), (3,)),
     (ssyt_poly, ((1,), 2), (1, 0)),
+    (_kostka, ((3, 2, 1),), (2, 2, 2)),
 ])
 def test_cached_tables_are_read_only(table, args, key):
     first = dict(table(*args))
     with pytest.raises(TypeError):
         table(*args)[key] = 5
     assert dict(table(*args)) == first
+
+
+def test_schur_keys_are_partitions():
+    assert schur((1, 0)) == schur((1,))
+    assert schur((1, 0)) * schur((1,)) == schur((2,)) + schur((1, 1))
+    assert SymFunc({(2, 1, 0): 1, (2, 1): T}) == schur((2, 1)).scale(T + 1)
+    assert SymFunc({(1, 0): 1, (1,): -1}).is_zero()
+    for bad in ((1, 2), (1, -1), (0, 1)):
+        with pytest.raises(ValueError):
+            schur(bad)
+        with pytest.raises(ValueError):
+            SymFunc({bad: 1})
 
 
 def test_mul_examples():
@@ -315,6 +330,10 @@ def test_from_polynomial_examples():
     assert schur_expand_raw({(2, 0): 1, (0, 2): 1}, 2) == {(2,): 1, (1, 1): -1}
     with pytest.raises(ValueError):
         schur_expand_raw({(2, 0): 1}, 2)
+    # each monomial's sort carries its coefficient, but x2^2 is missing:
+    # only the orbit count sees it
+    with pytest.raises(ValueError):
+        schur_expand_raw({(2, 0): 1, (1, 1): 1}, 2)
     # t*x1 + x2 is not symmetric, t*(x1 + x2) is t*s_1
     with pytest.raises(ValueError):
         schur_expand_raw({(1, 0): T, (0, 1): ONE}, 2)
@@ -322,16 +341,20 @@ def test_from_polynomial_examples():
 
 
 def test_lift_raises_exactly_on_asymmetric_input():
-    # raw_is_symmetric is the independent oracle for the lift's verdict;
-    # symmetrizing about half the dicts makes both outcomes common
+    # raw_is_symmetric is the independent oracle for the lift's verdict,
+    # and the peel over whole Schur polynomials for its terms and their
+    # order; int and TPoly coefficients, and symmetrizing about half the
+    # dicts makes both outcomes common
     rng = random.Random(31)
     seen = set()
     for _ in range(3000):
-        n = rng.randint(1, 3)
+        n = rng.randint(1, 4)
         p = {}
         for _ in range(rng.randint(1, 4)):
             exp = tuple(rng.randint(0, 3) for _ in range(n))
             c = rng.randint(-2, 2)
+            if rng.random() < 0.5:
+                c = TPoly((c, rng.randint(-2, 2)))
             orbit = set(permutations(exp)) if rng.random() < 0.5 else {exp}
             add_terms(p, ((e, c) for e in orbit))
         symmetric = raw_is_symmetric(p, n)
@@ -339,21 +362,27 @@ def test_lift_raises_exactly_on_asymmetric_input():
         if not symmetric:
             with pytest.raises(ValueError):
                 schur_expand_raw(p, n)
+            with pytest.raises(ValueError):
+                peel_lift(p, n)
             continue
+        lift = schur_expand_raw(p, n)
+        assert list(lift.items()) == list(peel_lift(p, n).items()), (p, n)
         back = {}
-        for la, c in schur_expand_raw(p, n).items():
+        for la, c in lift.items():
             add_terms(back, ((e, c * k) for e, k in ssyt_poly(la, n).items()))
         assert back == {e: c for e, c in p.items() if c}
     assert seen == {False, True}
 
 
 def test_lift_fails_fast_on_a_wrong_schur_polynomial(monkeypatch):
-    # without the strip of sigma_1 cells in each branching table,
-    # ssyt_poly((2, 2), 3) lacks its leading monomial x1^2 x2^2, which then
-    # never cancels: the lift must raise at once instead of looping
+    # without the strip of sigma_1 cells in each branching table, the
+    # Kostka row of (2, 2) lacks K_(2,2),(2,2) = 1, so the leading term
+    # x1^2 x2^2 never cancels: the lift must raise at once instead of
+    # looping
     p = dict(ssyt_poly((2, 2), 3))
     real = schur_module._branching.__wrapped__
     ssyt_poly.cache_clear()
+    _kostka.cache_clear()
     try:
         with monkeypatch.context() as m:
             m.setattr(schur_module, "_branching", cache(lambda la: real(la)[:-1]))
@@ -363,6 +392,7 @@ def test_lift_fails_fast_on_a_wrong_schur_polynomial(monkeypatch):
             assert time.perf_counter() - start < 1
     finally:
         ssyt_poly.cache_clear()
+        _kostka.cache_clear()
 
 
 def test_to_polynomial_examples():
@@ -627,3 +657,36 @@ def test_ssyt_poly_matches_tableau_enumeration():
         want = _ssyt_brute(la, n)
         assert dict(ssyt_poly(la, n)) == want, (la, n)
         assert (want == {}) == (len(la) > n)
+
+
+def _kostka_count(la, mu):
+    """K_{la mu} by backtracking: fill la row by row, each entry at least
+    its left neighbour and above the entry over it, with value v used at
+    most mu[v - 1] times."""
+    cells = [(r, c) for r, w in enumerate(la) for c in range(w)]
+    left, t = list(mu), {}
+
+    def fill(i):
+        if i == len(cells):
+            return 1
+        r, c = cells[i]
+        lo = max(t[r, c - 1] if c else 1, t[r - 1, c] + 1 if r else 1)
+        total = 0
+        for v in range(lo, len(mu) + 1):
+            if left[v - 1]:
+                left[v - 1] -= 1
+                t[r, c] = v
+                total += fill(i + 1)
+                left[v - 1] += 1
+        return total
+
+    return fill(0)
+
+
+def test_kostka_rows_match_tableau_enumeration_up_to_8():
+    shapes = partitions_up_to(8)
+    assert len(shapes) == 67
+    for la in shapes:
+        want = {mu: k for mu in partitions_of(size(la)) if (k := _kostka_count(la, mu))}
+        assert dict(_kostka(la)) == want, la
+        assert _kostka(la)[la] == 1
