@@ -11,13 +11,13 @@ import sys
 from functools import cache
 
 from .exprs import ExprError, eval_expr, parse_expr
-from .groth import G_truncated, c_coeff, d_coeff, schur_to_g
+from .groth import c_coeff, d_coeff, schur_to_g
 from .operators import apply_operator, tilde_c, tilde_d
-from .partitions import parse_partition, size
+from .partitions import parse_partition
 from .schur import E_series, H_series, SymFunc, TruncSeries, hall, lr_coeff
 from .serialize import g_expansion_json, series_json, symfunc_json, to_text
 from .suites import DEFAULT_SEED, SUITES, iter_cases
-from .tpoly import T, parse_t_value
+from .tpoly import T, ZERO, parse_t_value
 
 
 def _emit(obj):
@@ -79,16 +79,15 @@ def cmd_inner(args):
     value = eval_expr(node)
     if not isinstance(value, SymFunc):
         raise ExprError("the pairing takes a polynomial expression")
-    deg = value.degree()
     if args.series in ("H", "E"):
         t_param = parse_t_value(args.t) if args.t is not None else T
-        series = (H_series if args.series == "H" else E_series)(deg, t_param)
+        series = (H_series if args.series == "H" else E_series)(value.degree(), t_param)
         result = hall(series, value)
     else:
         if args.la is None:
             raise ExprError("--series G needs --lambda")
-        la = _parse_part_arg(args.la, "--lambda")
-        result = hall(G_truncated(la, max(deg, size(la))), value)
+        # <G_la, f> is the coefficient of g_la in f: G and g are dual bases
+        result = schur_to_g(value).get(_parse_part_arg(args.la, "--lambda"), ZERO)
     _emit({"value": result.text()})
     return 0
 

@@ -36,7 +36,7 @@ from types import MappingProxyType
 from .partitions import (_box, cells, contains, partitions_of_containing,
                          size, skew_half_turn, skew_normal_form, skew_pieces,
                          transpose)
-from .schur import SymFunc, TruncSeries, hall, schur_expand_raw
+from .schur import SymFunc, TruncSeries, schur_expand_raw
 from .tpoly import ZERO, _coerce, add_terms, sum_rows
 
 
@@ -276,29 +276,23 @@ def G_truncated(la, N):
     column = ((mu, _fillings(mu, len(mu) - 1, True).get(la))
               for m in range(size(la), N + 1)
               for mu in partitions_of_containing(m, la))
-    return TruncSeries(N, {mu: c for mu, c in column if c}).frozen()
+    return TruncSeries(N)._like({mu: _coerce(c) for mu, c in column if c}).frozen()
 
 
 def c_coeff(la, mu, nu):
     """Coefficient of g_nu in the g-expansion of g_{la/mu} (an integer)."""
-    f = g_skew(tuple(la), tuple(mu))
-    if f.is_zero():
-        return 0
-    return schur_to_g(f).get(tuple(nu), ZERO).as_int()
+    return schur_to_g(g_skew(tuple(la), tuple(mu))).get(tuple(nu), ZERO).as_int()
 
 
 def d_coeff(la, mu, nu):
     """Coefficient of g_la in the product g_mu g_nu (an integer).
 
-    Computed as the Hall pairing of the product against G_la, which picks
-    out exactly that coefficient by duality.  Zero unless mu and nu sit
-    inside la: the coproduct of G_la is supported on such pairs (Buch,
-    Acta Math. 189 (2002)).
+    Read off the g-expansion of the product.  Zero unless mu and nu sit
+    inside la: the coproduct of G_la, the series dual to g_la, is
+    supported on such pairs (Buch, Acta Math. 189 (2002)).
     """
     la, mu, nu = tuple(la), tuple(mu), tuple(nu)
-    cap = size(mu) + size(nu)
-    if size(la) > cap or not contains(mu, la) or not contains(nu, la):
+    if size(la) > size(mu) + size(nu) or not contains(mu, la) or not contains(nu, la):
         return 0
-    f = g_to_schur(mu) * g_to_schur(nu)
-    return hall(G_truncated(la, cap), f).as_int()
+    return schur_to_g(g_to_schur(mu) * g_to_schur(nu)).get(la, ZERO).as_int()
 

@@ -19,7 +19,7 @@ and j_t the vertical strips removed from each shape.
 from functools import cache
 from types import MappingProxyType
 
-from .groth import G_truncated, d_coeff, g_skew, schur_to_g
+from .groth import G_truncated, g_skew, g_to_schur, schur_to_g
 from .partitions import (_box, a_statistic, column_count, contains,
                          horizontal_strip_additions, size, subpartitions,
                          transpose, vertical_strip_removals)
@@ -312,7 +312,10 @@ def tilde_c(la, mu, nu):
 
 
 def tilde_d(la, mu, nu):
-    """Double interval sum of d-coefficients over subshapes of mu and nu."""
+    """Sum of d(la, alpha, beta) over alpha inside mu and beta inside nu: the
+    coefficient of g_la in I(g_mu) I(g_nu) = I(g_mu g_nu), as the ring
+    automorphism I sends g_mu to that sum of g_alpha; 0 past the degree."""
     la, mu, nu = tuple(la), tuple(mu), tuple(nu)
-    return sum(d_coeff(la, alpha, beta)
-               for alpha in subpartitions(mu) for beta in subpartitions(nu))
+    if size(la) > size(mu) + size(nu):
+        return 0
+    return schur_to_g(op_I(g_to_schur(mu) * g_to_schur(nu))).get(la, ZERO).as_int()

@@ -187,7 +187,7 @@ class SymFunc(LinComb):
         return max((size(la) for la in self.terms), default=0)
 
     def coeff(self, la):
-        return self.terms.get(tuple(la), ZERO)
+        return self.terms.get(as_partition(la), ZERO)
 
     def __mul__(self, other):
         if isinstance(other, (int, TPoly)):
@@ -240,10 +240,10 @@ class TensorElem(LinComb):
 
     @staticmethod
     def _key(key):
-        return (tuple(key[0]), tuple(key[1]))
+        return (as_partition(key[0]), as_partition(key[1]))
 
     def coeff(self, mu, nu):
-        return self.terms.get((tuple(mu), tuple(nu)), ZERO)
+        return self.terms.get(self._key((mu, nu)), ZERO)
 
     def __mul__(self, other):
         """Componentwise product (a (x) b)(c (x) d) = ac (x) bd, bilinearly."""
@@ -285,17 +285,19 @@ class TruncSeries(LinComb):
 
     Arithmetic between two series truncates to the smaller cap and records
     it in the result; no coproduct is ever taken of a series.  Not a
-    SymFunc: callers tell a series from a polynomial by its type.
+    SymFunc: callers tell a series from a polynomial by its type.  Keys
+    read through as_partition, as SymFunc's do.
     """
 
     __slots__ = ("cap",)
+    _key = staticmethod(as_partition)
 
     def __init__(self, cap, terms=None):
         if cap < 0:
             raise ValueError("cap must be >= 0")
         self.cap = cap
-        LinComb.__init__(self, {la: c for la, c in (terms or {}).items()
-                                if size(la) <= cap})
+        LinComb.__init__(self, terms)
+        self.terms = {la: c for la, c in self.terms.items() if size(la) <= cap}
 
     def _like(self, terms):
         out = LinComb._like(self, terms)
@@ -307,7 +309,7 @@ class TruncSeries(LinComb):
         return TruncSeries(cap, {(): ONE})
 
     def coeff(self, la):
-        return self.terms.get(tuple(la), ZERO)
+        return self.terms.get(as_partition(la), ZERO)
 
     def __add__(self, other):
         low = self if self.cap <= other.cap else other

@@ -7,9 +7,13 @@ import time
 
 import pytest
 
-from dualgroth import cli, suites
-from dualgroth.partitions import partitions_up_to, sort_key
-from dualgroth.serialize import term_list
+from dualgroth import cli, groth, operators, schur, suites
+from dualgroth.exprs import eval_expr, parse_expr
+from dualgroth.groth import G_truncated
+from dualgroth.partitions import (format_partition, partitions_up_to, size,
+                                  sort_key, subpartitions)
+from dualgroth.schur import hall
+from dualgroth.serialize import term_list, to_text
 from dualgroth.tpoly import ONE
 
 
@@ -176,6 +180,50 @@ def test_inner_examples(capsys):
     assert lines == [{"value": "1"}]
 
 
+def _random_g_expr(rng):
+    # integer and t coefficients on s, g and skew g atoms of size <= 4
+    pool = partitions_up_to(4)
+    expr = ""
+    for _ in range(rng.randint(1, 4)):
+        outer = pool[rng.randrange(len(pool))]
+        atom = rng.choice("sg") + format_partition(outer)
+        if atom[0] == "g" and outer and rng.random() < 0.5:
+            inner = subpartitions(outer)
+            atom += "/" + format_partition(inner[rng.randrange(len(inner))])
+        coeff = rng.choice(["1", "2", "t", "(t-2)", "(1+t*t)"])
+        # a leading minus would read as a flag
+        expr += (rng.choice("+-") if expr else "") + coeff + "*" + atom
+    return expr
+
+
+def test_inner_G_matches_the_series_pairing(capsys):
+    # oracle: the Hall pairing against G_la truncated at the degree
+    rng = random.Random(29)
+    for _ in range(25):
+        expr = _random_g_expr(rng)
+        value = eval_expr(parse_expr(expr))
+        for la in partitions_up_to(4):
+            want = hall(G_truncated(la, max(value.degree(), size(la))), value)
+            assert cli.main(["inner", "--series", "G", "--lambda",
+                             format_partition(la), expr]) == 0
+            assert capsys.readouterr().out == to_text({"value": want.text()}) + "\n"
+
+
+def test_g_coordinates_pair_no_G_series(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("a g coordinate built or paired a G series")
+
+    for mod in (groth, operators, schur, cli):
+        for name in ("G_truncated", "hall"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, boom)
+    assert groth.d_coeff((1,), (1,), (1,)) == -1
+    assert operators.tilde_d((5, 3, 2, 1), (3, 2, 1), (3, 2, 1)) == -1
+    code, lines = run_cli(capsys, "inner", "--series", "G", "--lambda", "[1]",
+                          "g[2,1]+t*g[1]*g[1]")
+    assert code == 0 and lines == [{"value": "-t"}]
+
+
 def test_constants(capsys):
     code, lines = run_cli(capsys, "constants", "--family", "c",
                           "--lambda", "[3,2,1]", "--mu", "[1]", "--nu", "[2,1]")
@@ -186,7 +234,7 @@ def test_constants(capsys):
     code, lines = run_cli(capsys, "constants", "--family", "lr",
                           "--lambda", "[2]", "--mu", "[1]", "--nu", "[1]")
     assert lines[0]["value"] == 1
-    # mu outside la: d is 0 without building G_la up to degree 31
+    # mu outside la: d is 0 without building g_mu g_nu up to degree 31
     start = time.monotonic()
     code, lines = run_cli(capsys, "constants", "--family", "dtilde",
                           "--lambda", "[2]", "--mu", "[30]", "--nu", "[1]")
@@ -360,8 +408,8 @@ def test_lr_constant_on_long_rows():
 
 
 def test_G_series_on_a_long_column():
-    # G_truncated lists only the shapes that contain [1^80], so this never
-    # builds the partitions of 80
+    # the g-expansion of s[1^80] reads one strict-filling table, over the
+    # columns inside [1^80], so this never builds the partitions of 80
     column = "[%s]" % ",".join(["1"] * 80)
     code, out, err = _fresh_cli("inner", "--series", "G", "--lambda", column,
                                 "s" + column)

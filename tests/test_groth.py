@@ -343,16 +343,6 @@ def test_d_coeff_examples():
             assert d_coeff(la, (), nu) == (1 if la == nu else 0)
 
 
-def test_d_coeff_agrees_with_expansion_route():
-    # dual route: expand the product over the g basis directly
-    ps = partitions_up_to(3)
-    for mu in ps:
-        for nu in ps:
-            expansion = as_int_dict(schur_to_g(g_to_schur(mu) * g_to_schur(nu)))
-            for la in partitions_up_to(size(mu) + size(nu)):
-                assert d_coeff(la, mu, nu) == expansion.get(la, 0), (la, mu, nu)
-
-
 def test_d_coeff_matches_unshortened_pairing():
     # the pairing against G_la, without the containment shortcut
     ps = partitions_up_to(4)

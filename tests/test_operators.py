@@ -436,15 +436,31 @@ def test_tilde_c_zero_off_the_interval():
                 assert tilde_c(la, mu, nu) == 0, (la, mu, nu)
 
 
-def test_tilde_d_matches_image_product():
-    # oracle: the coefficient of g_la in I(g_mu) I(g_nu)
+def test_tilde_d_matches_double_pairing_sum():
+    # oracle: the definition, the sum over alpha in mu and beta in nu of
+    # d(la, alpha, beta), each d the pairing of g_alpha g_beta against G_la
+    nonzero = 0
     for mu in partitions_up_to(3):
         for nu in partitions_up_to(3):
-            imu = op_I(g_to_schur(mu))
-            inu = op_I(g_to_schur(nu))
-            expansion = as_int_dict(schur_to_g(imu * inu))
-            for la in partitions_up_to(size(mu) + size(nu)):
-                assert tilde_d(la, mu, nu) == expansion.get(la, 0), (la, mu, nu)
+            for la in partitions_up_to(size(mu) + size(nu) + 1):
+                want = sum(hall(G_truncated(la, size(alpha) + size(beta)),
+                                g_to_schur(alpha) * g_to_schur(beta)).as_int()
+                           for alpha in subpartitions(mu)
+                           for beta in subpartitions(nu)
+                           if size(la) <= size(alpha) + size(beta))
+                assert tilde_d(la, mu, nu) == want, (la, mu, nu)
+                nonzero += bool(want)
+    assert nonzero == 483
+
+
+def test_tilde_d_above_the_product_degree_builds_nothing(monkeypatch):
+    def boom(*args):
+        raise AssertionError("tilde_d built a product for a zero")
+
+    monkeypatch.setattr(operators, "schur_to_g", boom)
+    monkeypatch.setattr(operators, "g_to_schur", boom)
+    assert tilde_d((3,), (1,), (1,)) == 0
+    assert tilde_d((7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1), (4, 3, 2, 1)) == 0
 
 
 def test_perp_operators_commute():

@@ -218,6 +218,18 @@ def test_schur_keys_are_partitions():
             SymFunc({bad: 1})
 
 
+def test_coeff_and_series_keys_are_partitions():
+    # coefficient queries and series keys read through as_partition too
+    assert schur((1,)).coeff((1, 0)) == ONE
+    assert TruncSeries(3, {(1, 0): 1}) == TruncSeries(3, {(1,): 1})
+    assert TruncSeries(3, {(1,): 1}).coeff((1, 0)) == ONE
+    assert coproduct(schur((2,))).coeff((1, 0), (1,)) == ONE
+    # a bad key raises whether or not its size fits under the cap
+    for cap in (3, 2):
+        with pytest.raises(ValueError):
+            TruncSeries(cap, {(1, 2): 1})
+
+
 def test_mul_examples():
     s1 = schur((1,))
     assert s1 * s1 == schur((2,)) + schur((1, 1))
