@@ -13,7 +13,7 @@ from functools import cache
 from .exprs import ExprError, eval_expr, parse_expr
 from .groth import c_coeff, d_coeff, schur_to_g
 from .operators import apply_operator, tilde_c, tilde_d
-from .partitions import parse_partition
+from .partitions import contains, parse_partition
 from .schur import E_series, H_series, SymFunc, TruncSeries, hall, lr_coeff
 from .serialize import g_expansion_json, series_json, symfunc_json, to_text
 from .suites import DEFAULT_SEED, SUITES, iter_cases
@@ -86,8 +86,10 @@ def cmd_inner(args):
     else:
         if args.la is None:
             raise ExprError("--series G needs --lambda")
-        # <G_la, f> is the coefficient of g_la in f: G and g are dual bases
-        result = schur_to_g(value).get(_parse_part_arg(args.la, "--lambda"), ZERO)
+        # <G_la, f> = [g_la] f by duality, read off the terms on shapes containing la
+        la = _parse_part_arg(args.la, "--lambda")
+        result = schur_to_g(value._like({nu: c for nu, c in value.terms.items()
+                                         if contains(la, nu)})).get(la, ZERO)
     _emit({"value": result.text()})
     return 0
 

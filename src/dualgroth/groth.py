@@ -285,14 +285,13 @@ def c_coeff(la, mu, nu):
 
 
 def d_coeff(la, mu, nu):
-    """Coefficient of g_la in the product g_mu g_nu (an integer).
-
-    Read off the g-expansion of the product.  Zero unless mu and nu sit
-    inside la: the coproduct of G_la, the series dual to g_la, is
-    supported on such pairs (Buch, Acta Math. 189 (2002)).
-    """
+    """[g_la] g_mu g_nu (an integer): 0 unless mu, nu sit in la, as the coproduct
+    of G_la, dual to g_la, lives on such pairs (Buch, Acta Math. 189 (2002)); G_la
+    lives on the shapes containing la, so only those terms of the product count."""
     la, mu, nu = tuple(la), tuple(mu), tuple(nu)
     if size(la) > size(mu) + size(nu) or not contains(mu, la) or not contains(nu, la):
         return 0
-    return schur_to_g(g_to_schur(mu) * g_to_schur(nu)).get(la, ZERO).as_int()
+    f = g_to_schur(mu) * g_to_schur(nu)
+    f = f._like({sigma: c for sigma, c in f.terms.items() if contains(la, sigma)})
+    return schur_to_g(f).get(la, ZERO).as_int()
 

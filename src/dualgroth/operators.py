@@ -312,10 +312,12 @@ def tilde_c(la, mu, nu):
 
 
 def tilde_d(la, mu, nu):
-    """Sum of d(la, alpha, beta) over alpha inside mu and beta inside nu: the
-    coefficient of g_la in I(g_mu) I(g_nu) = I(g_mu g_nu), as the ring
-    automorphism I sends g_mu to that sum of g_alpha; 0 past the degree."""
-    la, mu, nu = tuple(la), tuple(mu), tuple(nu)
+    """Sum of d(la, alpha, beta) over alpha in mu, beta in nu: [g_la] I(g_mu g_nu),
+    as I sends g_mu to that sum of g_alpha.  As in d_coeff, mu and nu are cut to
+    la and only shapes containing la count (I keeps each s_sigma inside sigma)."""
+    mu, nu = tuple(map(min, mu, la)), tuple(map(min, nu, la))
     if size(la) > size(mu) + size(nu):
         return 0
-    return schur_to_g(op_I(g_to_schur(mu) * g_to_schur(nu))).get(la, ZERO).as_int()
+    f = g_to_schur(mu) * g_to_schur(nu)
+    f = f._like({sigma: c for sigma, c in f.terms.items() if contains(la, sigma)})
+    return schur_to_g(op_I(f)).get(tuple(la), ZERO).as_int()

@@ -285,8 +285,7 @@ class TruncSeries(LinComb):
 
     Arithmetic between two series truncates to the smaller cap and records
     it in the result; no coproduct is ever taken of a series.  Not a
-    SymFunc: callers tell a series from a polynomial by its type.  Keys
-    read through as_partition, as SymFunc's do.
+    SymFunc: callers tell a series from a polynomial by its type.
     """
 
     __slots__ = ("cap",)

@@ -9,9 +9,9 @@ import pytest
 
 from dualgroth import cli, groth, operators, schur, suites
 from dualgroth.exprs import eval_expr, parse_expr
-from dualgroth.groth import G_truncated
-from dualgroth.partitions import (format_partition, partitions_up_to, size,
-                                  sort_key, subpartitions)
+from dualgroth.groth import G_truncated, schur_to_g
+from dualgroth.partitions import (contains, format_partition, partitions_up_to,
+                                  size, sort_key, subpartitions)
 from dualgroth.schur import hall
 from dualgroth.serialize import term_list, to_text
 from dualgroth.tpoly import ONE
@@ -224,6 +224,27 @@ def test_g_coordinates_pair_no_G_series(capsys, monkeypatch):
     assert code == 0 and lines == [{"value": "-t"}]
 
 
+def test_g_coordinates_expand_only_shapes_containing_la(capsys, monkeypatch):
+    # [g_la] f reads only the Schur terms of f on shapes containing la, so at
+    # the top degree of a product no route expands a shape outside la
+    expanded = []
+
+    def spy(f):
+        expanded.append(set(f.terms))
+        return schur_to_g(f)
+
+    for mod in (groth, operators, cli):
+        monkeypatch.setattr(mod, "schur_to_g", spy)
+    la, mu = (4, 4, 3, 3, 2, 2, 1, 1), (4, 3, 2, 1)
+    assert groth.d_coeff(la, mu, mu) == 1
+    assert operators.tilde_d(la, mu, mu) == 1
+    code, lines = run_cli(capsys, "inner", "--series", "G", "--lambda",
+                          format_partition(la), "g[4,3,2,1]*g[4,3,2,1]")
+    assert code == 0 and lines == [{"value": "1"}]
+    assert len(expanded) == 3
+    assert all(contains(sigma, la) for shapes in expanded for sigma in shapes)
+
+
 def test_constants(capsys):
     code, lines = run_cli(capsys, "constants", "--family", "c",
                           "--lambda", "[3,2,1]", "--mu", "[1]", "--nu", "[2,1]")
@@ -234,8 +255,13 @@ def test_constants(capsys):
     code, lines = run_cli(capsys, "constants", "--family", "lr",
                           "--lambda", "[2]", "--mu", "[1]", "--nu", "[1]")
     assert lines[0]["value"] == 1
-    # mu outside la: d is 0 without building g_mu g_nu up to degree 31
+    # mu outside la: d is 0 at once and dtilde cuts mu and nu to la, so
+    # neither builds g_mu g_nu up to degree 31, nor the 42-box product of
+    # two staircases [6,...,1] under la = [2,1]
     start = time.monotonic()
+    code, lines = run_cli(capsys, "constants", "--family", "dtilde", "--lambda", "[2,1]",
+                          "--mu", "[6,5,4,3,2,1]", "--nu", "[6,5,4,3,2,1]")
+    assert code == 0 and lines[0]["value"] == 1
     code, lines = run_cli(capsys, "constants", "--family", "dtilde",
                           "--lambda", "[2]", "--mu", "[30]", "--nu", "[1]")
     assert code == 0 and lines[0]["value"] == 1

@@ -463,6 +463,17 @@ def test_tilde_d_above_the_product_degree_builds_nothing(monkeypatch):
     assert tilde_d((7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1), (4, 3, 2, 1)) == 0
 
 
+def test_tilde_d_cuts_mu_and_nu_to_la(monkeypatch):
+    # d(la, alpha, beta) is 0 unless alpha and beta sit inside la, so the
+    # product is built from the intersections of mu and nu with la
+    built = []
+    monkeypatch.setattr(operators, "g_to_schur", lambda mu: built.append(mu) or g_to_schur(mu))
+    staircase = (4, 3, 2, 1)
+    assert tilde_d((2, 1), staircase, staircase) == 1
+    assert tilde_d((3, 3), staircase, (1,)) == 1
+    assert built == [(2, 1), (2, 1), (3, 3), (1,)]
+
+
 def test_perp_operators_commute():
     f = g_to_schur((3, 1))
     a = perp(G_truncated((1,), 4), op_I(f))
