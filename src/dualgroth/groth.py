@@ -33,9 +33,9 @@ strict) is its argument.
 from functools import cache
 from types import MappingProxyType
 
-from .partitions import (_box, cells, contains, partitions_of_containing,
-                         size, skew_half_turn, skew_normal_form, skew_pieces,
-                         transpose)
+from .partitions import (_box, as_partition, cells, contains,
+                         partitions_of_containing, size, skew_half_turn,
+                         skew_normal_form, skew_pieces, transpose)
 from .schur import SymFunc, TruncSeries, schur_expand_raw
 from .tpoly import ZERO, _coerce, add_terms, sum_rows
 
@@ -249,7 +249,7 @@ def g_skew(outer, inner=()):
 
 def g_to_schur(la):
     """Schur expansion of the straight-shape g_la."""
-    return g_skew(tuple(la), ())
+    return g_skew(as_partition(la), ())
 
 
 def schur_to_g(f):
@@ -270,7 +270,7 @@ def G_truncated(la, N):
     strict _fillings table of every mu containing la, as listed by
     partitions_of_containing.  Its terms are a read-only mapping.
     """
-    la = tuple(la)
+    la = as_partition(la)
     if N < size(la):
         raise ValueError("cap %d is below |la| = %d" % (N, size(la)))
     column = ((mu, _fillings(mu, len(mu) - 1, True).get(la))
@@ -281,14 +281,15 @@ def G_truncated(la, N):
 
 def c_coeff(la, mu, nu):
     """Coefficient of g_nu in the g-expansion of g_{la/mu} (an integer)."""
-    return schur_to_g(g_skew(tuple(la), tuple(mu))).get(tuple(nu), ZERO).as_int()
+    la, mu, nu = map(as_partition, (la, mu, nu))
+    return schur_to_g(g_skew(la, mu)).get(nu, ZERO).as_int()
 
 
 def d_coeff(la, mu, nu):
     """[g_la] g_mu g_nu (an integer): 0 unless mu, nu sit in la, as the coproduct
     of G_la, dual to g_la, lives on such pairs (Buch, Acta Math. 189 (2002)); G_la
     lives on the shapes containing la, so only those terms of the product count."""
-    la, mu, nu = tuple(la), tuple(mu), tuple(nu)
+    la, mu, nu = map(as_partition, (la, mu, nu))
     if size(la) > size(mu) + size(nu) or not contains(mu, la) or not contains(nu, la):
         return 0
     f = g_to_schur(mu) * g_to_schur(nu)

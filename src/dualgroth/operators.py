@@ -20,9 +20,9 @@ from functools import cache
 from types import MappingProxyType
 
 from .groth import G_truncated, g_skew, g_to_schur, schur_to_g
-from .partitions import (_box, a_statistic, column_count, contains,
-                         horizontal_strip_additions, size, subpartitions,
-                         transpose, vertical_strip_removals)
+from .partitions import (_box, a_statistic, as_partition, column_count,
+                         contains, horizontal_strip_additions, size,
+                         subpartitions, transpose, vertical_strip_removals)
 from .schur import SymFunc, _branching, _skew
 from .tpoly import (ONE, T, ZERO, TPoly, _coerce, add_terms, binomial_general,
                     sum_rows)
@@ -308,16 +308,18 @@ def tilde_c(la, mu, nu):
     """Sum of c-coefficients over kappa in [mu, la]: the coefficient of g_nu
     in I(g_{la/mu}), by the interval identity that the i-skew suite checks;
     0 when mu is not inside la, where g_{la/mu} is 0."""
-    return schur_to_g(op_I(g_skew(la, mu))).get(tuple(nu), ZERO).as_int()
+    la, mu, nu = map(as_partition, (la, mu, nu))
+    return schur_to_g(op_I(g_skew(la, mu))).get(nu, ZERO).as_int()
 
 
 def tilde_d(la, mu, nu):
     """Sum of d(la, alpha, beta) over alpha in mu, beta in nu: [g_la] I(g_mu g_nu),
     as I sends g_mu to that sum of g_alpha.  As in d_coeff, mu and nu are cut to
     la and only shapes containing la count (I keeps each s_sigma inside sigma)."""
+    la, mu, nu = map(as_partition, (la, mu, nu))
     mu, nu = tuple(map(min, mu, la)), tuple(map(min, nu, la))
     if size(la) > size(mu) + size(nu):
         return 0
     f = g_to_schur(mu) * g_to_schur(nu)
     f = f._like({sigma: c for sigma, c in f.terms.items() if contains(la, sigma)})
-    return schur_to_g(op_I(f)).get(tuple(la), ZERO).as_int()
+    return schur_to_g(op_I(f)).get(la, ZERO).as_int()

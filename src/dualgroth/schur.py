@@ -40,6 +40,7 @@ def lr_coeff(la, mu, nu):
     from the skew table of la over the larger factor (mu on a tie), so
     the transfer fills the smaller one, as in _mul_pair.
     """
+    la, mu, nu = map(as_partition, (la, mu, nu))
     if size(mu) + size(nu) != size(la):
         return 0
     if not contains(mu, la) or not contains(nu, la):

@@ -3,8 +3,9 @@
 Every identity the kernel implements has a suite here that recomputes both
 sides independently and compares exactly.  Suites yield (case_id, thunk)
 pairs; a thunk returns (ok, lhs, rhs) with canonical serializations of the
-two sides when they disagree.  Default bounds keep the full registry
-within a couple of minutes of desk time.
+two sides when they disagree.  At the default bounds the 26 suites
+(3,731 cases) run in 0.25-0.45 s in one fresh process on a 2-CPU shared
+host.
 """
 
 import random
@@ -23,22 +24,44 @@ from .partitions import (column_count, contains, format_partition,
                          is_vertical_strip, partitions_of_containing,
                          partitions_up_to, size, sort_key, subpartitions,
                          vertical_strip_additions)
-from .schur import (E_series, H_series, SymFunc, TruncSeries, coproduct,
-                    antipode, hall, is_group_like, phi_t, schur, series_mul,
-                    to_polynomial, raw_is_symmetric, ssyt_poly)
-from .serialize import (incidence_text, multipoly_text, series_text,
-                        symfunc_text, tensor_text, to_text)
-from .tpoly import ONE, T, ZERO, MultiPoly, TPoly
+from .schur import (E_series, H_series, SymFunc, TruncSeries, _coproduct_pairs,
+                    coproduct, antipode, h_gen, hall, is_group_like, phi_t,
+                    schur, series_mul, to_polynomial, raw_is_symmetric,
+                    ssyt_poly)
+from .serialize import (g_expansion_json, incidence_text, multipoly_text,
+                        series_text, symfunc_text, tensor_text, to_text)
+from .tpoly import ONE, T, ZERO, MultiPoly, TPoly, add_terms
 
 SuiteSpec = namedtuple("SuiteSpec", ["func", "default_max_size", "description"])
 
 DEFAULT_SEED = 20250808
 
 
-def _eq(a, b, render):
-    if a == b:
-        return (True, None, None)
-    return (False, render(a), render(b))
+def _eq(render, first, *sides):
+    """A case result: a failure naming first and the first side that
+    differs from it, each rendered, or a pass if every side equals first."""
+    for side in sides:
+        if first != side:
+            return (False, render(first), render(side))
+    return (True, None, None)
+
+
+def _text(x):
+    """The renderer of a TPoly side."""
+    return x.text()
+
+
+def _sum(zero, pairs):
+    """The sum of c * f over the (c, f) pairs, c an int or a TPoly, added
+    into one dict: a combination of the kind (and cap) of zero."""
+    return zero._like(add_terms({}, ((key, x * c) for c, f in pairs
+                                     for key, x in f.terms.items())))
+
+
+def _strip_weight(la, nu):
+    """t^c (t+1)^(|la/nu| - c), for the vertical strip la/nu of c columns."""
+    c = column_count(la, nu)
+    return T ** c * (T + ONE) ** (size(la) - size(nu) - c)
 
 
 def _random_symfunc(rng, max_deg, nterms=3, with_t=False):
@@ -216,7 +239,7 @@ def suite_i_equals_one(max_size, rng):
         def thunk(la=la, mu=mu):
             f = g_skew(la, mu)
             v = hall(H_series(f.degree(), 1), f)
-            return _eq(v, ONE, lambda x: x.text() if isinstance(x, TPoly) else str(x))
+            return _eq(_text, v, ONE)
 
         yield format_skew(la, mu), thunk
 
@@ -226,7 +249,7 @@ def suite_single_variable_weight(max_size, rng):
         def thunk(la=la, mu=mu):
             got = to_polynomial(g_skew(la, mu), 1)
             want = MultiPoly(1, {(column_count(la, mu),): ONE})
-            return _eq(got, want, multipoly_text)
+            return _eq(multipoly_text, got, want)
 
         yield format_skew(la, mu), thunk
 
@@ -237,7 +260,7 @@ def suite_g_G_duality(max_size, rng):
             def thunk(la=la, mu=mu):
                 v = hall(G_truncated(la, max(max_size, size(la))), g_to_schur(mu))
                 want = ONE if la == mu else ZERO
-                return _eq(v, want, lambda x: x.text())
+                return _eq(_text, v, want)
 
             yield "(%s,%s)" % (format_partition(la), format_partition(mu)), thunk
 
@@ -246,7 +269,7 @@ def suite_sum_rules_c(max_size, rng):
     for la, mu in _skew_shapes(max_size):
         def thunk(la=la, mu=mu):
             total = sum(schur_to_g(g_skew(la, mu)).values(), ZERO)
-            return _eq(total, ONE, lambda x: x.text())
+            return _eq(_text, total, ONE)
 
         yield format_skew(la, mu), thunk
 
@@ -261,7 +284,7 @@ def suite_sum_rules_d(max_size, rng):
             def thunk(mu=mu, nu=nu):
                 f = g_to_schur(mu) * g_to_schur(nu)
                 total = sum(schur_to_g(f).values(), ZERO)
-                return _eq(total, ONE, lambda x: x.text())
+                return _eq(_text, total, ONE)
 
             yield "(%s,%s)" % (format_partition(mu), format_partition(nu)), thunk
 
@@ -269,10 +292,9 @@ def suite_sum_rules_d(max_size, rng):
 def suite_t_sum_rules(max_size, rng):
     for la, mu in _skew_shapes(max_size):
         def thunk(la=la, mu=mu):
-            total = ZERO
-            for nu, c in schur_to_g(g_skew(la, mu)).items():
-                total = total + c * T ** column_count(nu)
-            return _eq(total, T ** column_count(la, mu), lambda x: x.text())
+            total = sum((c * T ** column_count(nu)
+                         for nu, c in schur_to_g(g_skew(la, mu)).items()), ZERO)
+            return _eq(_text, total, T ** column_count(la, mu))
 
         yield "c:" + format_skew(la, mu), thunk
     ps = partitions_up_to(max_size)
@@ -282,11 +304,10 @@ def suite_t_sum_rules(max_size, rng):
                 continue
 
             def thunk(mu=mu, nu=nu):
-                total = ZERO
-                for la, c in schur_to_g(g_to_schur(mu) * g_to_schur(nu)).items():
-                    total = total + c * T ** column_count(la)
-                want = T ** (column_count(mu) + column_count(nu))
-                return _eq(total, want, lambda x: x.text())
+                f = g_to_schur(mu) * g_to_schur(nu)
+                total = sum((c * T ** column_count(la)
+                             for la, c in schur_to_g(f).items()), ZERO)
+                return _eq(_text, total, T ** (column_count(mu) + column_count(nu)))
 
             yield "d:(%s,%s)" % (format_partition(mu), format_partition(nu)), thunk
 
@@ -299,7 +320,7 @@ def suite_i_multiplicative(max_size, rng):
         g = _random_symfunc(rng, max_size)
 
         def thunk(f=f, g=g):
-            return _eq(op_I(f * g), op_I(f) * op_I(g), symfunc_text)
+            return _eq(symfunc_text, op_I(f * g), op_I(f) * op_I(g))
 
         yield "pair-%02d" % i, thunk
 
@@ -308,10 +329,7 @@ def suite_i_inverse(max_size, rng):
     for la in partitions_up_to(max_size):
         def thunk(la=la):
             f = g_to_schur(la)
-            ok1, lhs, rhs = _eq(op_I_inv(op_I(f)), f, symfunc_text)
-            if not ok1:
-                return (False, lhs, rhs)
-            return _eq(op_I(op_I_inv(f)), f, symfunc_text)
+            return _eq(symfunc_text, f, op_I_inv(op_I(f)), op_I(op_I_inv(f)))
 
         yield format_partition(la), thunk
 
@@ -342,23 +360,15 @@ def suite_i_substitution(max_size, rng):
 def _interval_sums(la, mu):
     """The two sides of I(g_{la/mu}): the sums over nu in [mu, la] of
     g_{nu/mu} and of g_{la/nu}."""
-    inner_sum = SymFunc.zero()
-    outer_sum = SymFunc.zero()
-    for nu in interval(mu, la):
-        inner_sum = inner_sum + g_skew(nu, mu)
-        outer_sum = outer_sum + g_skew(la, nu)
-    return inner_sum, outer_sum
+    nus = interval(mu, la)
+    return (_sum(SymFunc.zero(), ((1, g_skew(nu, mu)) for nu in nus)),
+            _sum(SymFunc.zero(), ((1, g_skew(la, nu)) for nu in nus)))
 
 
 def suite_i_skew(max_size, rng):
     for la, mu in _skew_shapes(max_size):
         def thunk(la=la, mu=mu):
-            image = op_I(g_skew(la, mu))
-            inner_sum, outer_sum = _interval_sums(la, mu)
-            ok1, lhs, rhs = _eq(image, inner_sum, symfunc_text)
-            if not ok1:
-                return (False, lhs, rhs)
-            return _eq(image, outer_sum, symfunc_text)
+            return _eq(symfunc_text, op_I(g_skew(la, mu)), *_interval_sums(la, mu))
 
         yield format_skew(la, mu), thunk
 
@@ -373,7 +383,7 @@ def suite_perp_composition(max_size, rng):
         def thunk(F=F, G=G, f=f):
             lhs = perp(series_mul(F, G), f)
             rhs = perp(G, perp(F, f))
-            return _eq(lhs, rhs, symfunc_text)
+            return _eq(symfunc_text, lhs, rhs)
 
         yield "triple-%02d" % i, thunk
 
@@ -388,7 +398,7 @@ def suite_perp_adjoint(max_size, rng):
         def thunk(F=F, G=G, f=f):
             lhs = hall(series_mul(F, G), f)
             rhs = hall(G, perp(F, f))
-            return _eq(lhs, rhs, lambda x: x.text())
+            return _eq(_text, lhs, rhs)
 
         yield "triple-%02d" % i, thunk
 
@@ -398,7 +408,7 @@ def suite_phi_t_intertwine(max_size, rng):
         def thunk(la=la):
             lhs = phi_t(H_perp(T, schur(la)))
             rhs = op_I(phi_t(schur(la)))
-            return _eq(lhs, rhs, symfunc_text)
+            return _eq(symfunc_text, lhs, rhs)
 
         yield format_partition(la), thunk
 
@@ -406,16 +416,12 @@ def suite_phi_t_intertwine(max_size, rng):
 def suite_h_perp_basis(max_size, rng):
     for la in partitions_up_to(max_size):
         def thunk(la=la):
-            image = H_perp(T, g_to_schur(la))
-            by_nu = SymFunc.zero()
-            by_skew = SymFunc.zero()
-            for nu in subpartitions(la):
-                by_nu = by_nu + g_to_schur(nu).scale(T ** column_count(la, nu))
-                by_skew = by_skew + g_skew(la, nu).scale(T ** column_count(nu))
-            ok1, lhs, rhs = _eq(image, by_nu, symfunc_text)
-            if not ok1:
-                return (False, lhs, rhs)
-            return _eq(image, by_skew, symfunc_text)
+            subs = subpartitions(la)
+            by_nu = _sum(SymFunc.zero(), ((T ** column_count(la, nu), g_to_schur(nu))
+                                          for nu in subs))
+            by_skew = _sum(SymFunc.zero(), ((T ** column_count(nu), g_skew(la, nu))
+                                            for nu in subs))
+            return _eq(symfunc_text, H_perp(T, g_to_schur(la)), by_nu, by_skew)
 
         yield format_partition(la), thunk
 
@@ -423,22 +429,13 @@ def suite_h_perp_basis(max_size, rng):
 def suite_e_perp_basis(max_size, rng):
     for la in partitions_up_to(max_size):
         def thunk(la=la):
-            image = E_perp(T, g_to_schur(la))
-            by_nu = SymFunc.zero()
-            for nu in subpartitions(la):
-                if is_vertical_strip(la, nu):
-                    ncells = size(la) - size(nu)
-                    c = column_count(la, nu)
-                    by_nu = by_nu + g_to_schur(nu).scale(
-                        (T ** c) * ((T + ONE) ** (ncells - c)))
-            ok1, lhs, rhs = _eq(image, by_nu, symfunc_text)
-            if not ok1:
-                return (False, lhs, rhs)
-            closed = g_to_schur(la) if la else SymFunc.one()
-            if la:
-                for k in range(1, len(la) + 1):
-                    closed = closed + g_skew(la, (1,) * k).scale(T * (T + ONE) ** (k - 1))
-            return _eq(image, closed, symfunc_text)
+            by_nu = _sum(SymFunc.zero(), ((_strip_weight(la, nu), g_to_schur(nu))
+                                          for nu in subpartitions(la)
+                                          if is_vertical_strip(la, nu)))
+            closed = _sum(SymFunc.zero(), [(1, g_to_schur(la))] + [
+                (T * (T + ONE) ** (k - 1), g_skew(la, (1,) * k))
+                for k in range(1, len(la) + 1)])
+            return _eq(symfunc_text, E_perp(T, g_to_schur(la)), by_nu, closed)
 
         yield format_partition(la), thunk
 
@@ -452,7 +449,7 @@ def suite_e_functional_morphism(max_size, rng):
             F = E_series(f.degree() + g.degree())
             lhs = hall(F, f * g)
             rhs = hall(F, f) * hall(F, g)
-            return _eq(lhs, rhs, lambda x: x.text())
+            return _eq(_text, lhs, rhs)
 
         yield "pair-%02d" % i, thunk
 
@@ -464,99 +461,85 @@ def suite_series_generators(max_size, rng):
 
     def unit_check():
         got = series_mul(H_series(N), E_series(N, -T))
-        return _eq(got, TruncSeries.unit(N), series_text)
+        return _eq(series_text, got, TruncSeries.unit(N))
 
     yield "H(t)E(-t)=1@%d" % N, unit_check
 
     def h1_check():
-        total = TruncSeries(N)
-        for la in partitions_up_to(N):
-            total = total + G_truncated(la, N)
-        return _eq(total, H_series(N, 1), series_text)
+        total = _sum(TruncSeries(N), ((1, G_truncated(la, N)) for la in partitions_up_to(N)))
+        return _eq(series_text, total, H_series(N, 1))
 
     yield "H(1)=sum-G@%d" % N, h1_check
 
     def e1_check():
         got = TruncSeries.unit(N) - G_truncated((1,), N)
-        return _eq(got, E_series(N, -1), series_text)
+        return _eq(series_text, got, E_series(N, -1))
 
     yield "E(-1)=1-G[1]@%d" % N, e1_check
 
     def et_check():
-        total = TruncSeries.unit(N)
-        for n in range(1, N + 1):
-            total = total + G_truncated((1,) * n, N).scale(T * (T + ONE) ** (n - 1))
-        return _eq(total, E_series(N), series_text)
+        total = _sum(TruncSeries(N), [(1, TruncSeries.unit(N))] + [
+            (T * (T + ONE) ** (n - 1), G_truncated((1,) * n, N)) for n in range(1, N + 1)])
+        return _eq(series_text, total, E_series(N))
 
     yield "E(t)=1+sum@%d" % N, et_check
 
 
 def suite_series_g_products(max_size, rng):
     N = max_size + 3
+    sum_G = _sum(TruncSeries(N), ((1, G_truncated(mu, N)) for mu in partitions_up_to(N)))
     for la in partitions_up_to(max_size):
         def ht_case(la=la):
             lhs = series_mul(H_series(N), G_truncated(la, N))
-            rhs = TruncSeries(N)
-            for m in range(size(la), N + 1):
-                for mu in partitions_of_containing(m, la):
-                    rhs = rhs + G_truncated(mu, N).scale(T ** column_count(mu, la))
-            return _eq(lhs, rhs, series_text)
+            rhs = _sum(TruncSeries(N), ((T ** column_count(mu, la), G_truncated(mu, N))
+                                        for m in range(size(la), N + 1)
+                                        for mu in partitions_of_containing(m, la)))
+            return _eq(series_text, lhs, rhs)
 
         yield "H(t)G%s" % format_partition(la), ht_case
 
         def et_case(la=la):
             lhs = series_mul(E_series(N), G_truncated(la, N))
-            rhs = TruncSeries(N)
-            for j in range(N - size(la) + 1):
-                for mu in vertical_strip_additions(la, j):
-                    c = column_count(mu, la)
-                    rhs = rhs + G_truncated(mu, N).scale((T ** c) * ((T + ONE) ** (j - c)))
-            return _eq(lhs, rhs, series_text)
+            rhs = _sum(TruncSeries(N), ((_strip_weight(mu, la), G_truncated(mu, N))
+                                        for j in range(N - size(la) + 1)
+                                        for mu in vertical_strip_additions(la, j)))
+            return _eq(series_text, lhs, rhs)
 
         yield "E(t)G%s" % format_partition(la), et_case
 
         def i_star_case(la=la):
-            total = TruncSeries(N)
-            for mu in partitions_up_to(N):
-                total = total + G_truncated(mu, N)
-            lhs = series_mul(total, G_truncated(la, N))
-            rhs = TruncSeries(N)
-            for m in range(size(la), N + 1):
-                for mu in partitions_of_containing(m, la):
-                    rhs = rhs + G_truncated(mu, N)
-            return _eq(lhs, rhs, series_text)
+            lhs = series_mul(sum_G, G_truncated(la, N))
+            rhs = _sum(TruncSeries(N), ((1, G_truncated(mu, N))
+                                        for m in range(size(la), N + 1)
+                                        for mu in partitions_of_containing(m, la)))
+            return _eq(series_text, lhs, rhs)
 
         yield "sumG*G%s" % format_partition(la), i_star_case
 
         def d_star_case(la=la):
             lhs = series_mul(TruncSeries.unit(N) - G_truncated((1,), N),
                              G_truncated(la, N))
-            rhs = TruncSeries(N)
-            for j in range(N - size(la) + 1):
-                for mu in vertical_strip_additions(la, j):
-                    if is_horizontal_strip(mu, la):
-                        rhs = rhs + G_truncated(mu, N).scale((-1) ** j)
-            return _eq(lhs, rhs, series_text)
+            rhs = _sum(TruncSeries(N), (((-1) ** j, G_truncated(mu, N))
+                                        for j in range(N - size(la) + 1)
+                                        for mu in vertical_strip_additions(la, j)
+                                        if is_horizontal_strip(mu, la)))
+            return _eq(series_text, lhs, rhs)
 
         yield "(1-G[1])G%s" % format_partition(la), d_star_case
 
 
 def suite_hopf_axioms(max_size, rng):
-    from .schur import _coproduct_pairs
-
     for la in partitions_up_to(max_size):
         def antipode_case(la=la):
-            total = SymFunc.zero()
-            for (tau, rho), k in _coproduct_pairs(la).items():
-                total = total + (antipode(schur(tau)) * schur(rho)).scale(k)
-            want = SymFunc.one() if not la else SymFunc.zero()
-            return _eq(total, want, symfunc_text)
+            total = _sum(SymFunc.zero(), ((k, antipode(schur(tau)) * schur(rho))
+                                          for (tau, rho), k in _coproduct_pairs(la).items()))
+            return _eq(symfunc_text, total, SymFunc.one() if not la else SymFunc.zero())
 
         yield "antipode:%s" % format_partition(la), antipode_case
 
         def cocomm_case(la=la):
             d = coproduct(schur(la))
-            return _eq(d.swap(), d, tensor_text)
+            return _eq(tensor_text, d.swap(), d)
 
         yield "cocommutative:%s" % format_partition(la), cocomm_case
 
@@ -589,31 +572,31 @@ def suite_incidence_inverse(max_size, rng):
 
     def itjt():
         got = inc_convolve(inc_it(ground), inc_jt(ground))
-        return _eq(got, inc_delta(ground), incidence_text)
+        return _eq(incidence_text, got, inc_delta(ground))
 
     yield "it*jt=delta@%s" % gtext, itjt
 
     def jt_at_one():
         got = inc_jt(ground).substitute(1)
-        return _eq(got, inc_mobius(ground), incidence_text)
+        return _eq(incidence_text, got, inc_mobius(ground))
 
     yield "jt(1)=mobius@%s" % gtext, jt_at_one
 
     def it_at_one():
         got = inc_it(ground).substitute(1)
-        return _eq(got, inc_zeta(ground), incidence_text)
+        return _eq(incidence_text, got, inc_zeta(ground))
 
     yield "it(1)=zeta@%s" % gtext, it_at_one
 
     def zeta_mobius():
         got = inc_convolve(inc_zeta(ground), inc_mobius(ground))
-        return _eq(got, inc_delta(ground), incidence_text)
+        return _eq(incidence_text, got, inc_delta(ground))
 
     yield "zeta*mobius=delta@%s" % gtext, zeta_mobius
 
     for q in range(1, 11):
         def tele(q=q):
-            return _eq(telescoping_X(q), ZERO, lambda x: x.text())
+            return _eq(_text, telescoping_X(q), ZERO)
 
         yield "telescoping-q=%d" % q, tele
 
@@ -622,40 +605,29 @@ def suite_incidence_inverse(max_size, rng):
 
 _EXAMPLE_SHAPE = ((3, 2, 1), (1,))
 _EXAMPLE_EXPANSION = {
-    (3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1,
-    (3, 1): -1, (2, 2): -1, (2, 1, 1): -1,
-    (2, 1): 1,
+    (3, 2): ONE, (3, 1, 1): ONE, (2, 2, 1): ONE,
+    (3, 1): -ONE, (2, 2): -ONE, (2, 1, 1): -ONE,
+    (2, 1): ONE,
 }
 
 
 def suite_example_321_1(max_size, rng):
     def expansion_case():
         la, mu = _EXAMPLE_SHAPE
-        got = {k: v.as_int() for k, v in schur_to_g(g_skew(la, mu)).items()}
-        return (got == _EXAMPLE_EXPANSION,
-                to_text(g_expansion_ints(got)), to_text(g_expansion_ints(_EXAMPLE_EXPANSION)))
+        return _eq(lambda d: to_text(g_expansion_json(d)),
+                   schur_to_g(g_skew(la, mu)), _EXAMPLE_EXPANSION)
 
     yield "g[3,2,1]/[1]-expansion", expansion_case
 
     def i_skew_case():
         la, mu = _EXAMPLE_SHAPE
-        image = op_I(g_skew(la, mu))
-        inner_sum, outer_sum = _interval_sums(la, mu)
         union = set()
         for top in ((3, 2), (3, 1, 1), (2, 2, 1)):
             union.update(subpartitions(top))
-        common = SymFunc.zero()
-        for kappa in union:
-            common = common + g_to_schur(kappa)
-        ok = image == inner_sum == outer_sum == common
-        return (ok, symfunc_text(image), symfunc_text(common))
+        common = _sum(SymFunc.zero(), ((1, g_to_schur(kappa)) for kappa in union))
+        return _eq(symfunc_text, op_I(g_skew(la, mu)), *_interval_sums(la, mu), common)
 
     yield "interval-union-sum", i_skew_case
-
-
-def g_expansion_ints(d):
-    keys = sorted(d, key=sort_key)
-    return [{"partition": list(k), "coeff": d[k]} for k in keys]
 
 
 def suite_counterexamples(max_size, rng):
@@ -680,15 +652,13 @@ def suite_counterexamples(max_size, rng):
 
 
 def suite_skew_pieri(max_size, rng):
-    from .schur import h_gen
-
     for mu in partitions_up_to(max_size):
         for nu in subpartitions(mu):
             for k in range(4):
                 def thunk(mu=mu, nu=nu, k=k):
                     lhs = h_gen(k) * g_skew(mu, nu)
                     rhs = expand_skew_sum(skew_pieri(k, mu, nu))
-                    return _eq(lhs, rhs, symfunc_text)
+                    return _eq(symfunc_text, lhs, rhs)
 
                 yield "h%d*g%s" % (k, format_skew(mu, nu)), thunk
 

@@ -7,8 +7,9 @@ from dualgroth.groth import (G_truncated, c_coeff, d_coeff, enumerate_rpp,
 from dualgroth.partitions import (column_count, contains,
                                   partitions_of_containing, partitions_up_to,
                                   size, skew_half_turn, subpartitions)
-from dualgroth.schur import (SymFunc, hall, schur, schur_expand_raw,
-                             raw_is_symmetric, to_polynomial)
+from dualgroth.operators import tilde_c, tilde_d
+from dualgroth.schur import (SymFunc, TruncSeries, hall, lr_coeff, schur,
+                             schur_expand_raw, raw_is_symmetric, to_polynomial)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
 from lift_oracle import peel_lift
 from lr_oracle import hook_syt_count, skew_syt_count
@@ -419,3 +420,21 @@ def test_grouped_schur_to_g_matches_per_term_oracle():
                 assert got == want, (mu, nu)
                 for c in got.values():
                     assert type(c) is TPoly and c.coeffs and c.coeffs[-1] != 0
+
+
+def test_entry_points_read_shapes_as_partitions():
+    # a trailing zero names the same shape at every public constant, G and
+    # LR entry point, and a shape that is not a partition is refused
+    assert c_coeff((2, 1), (1,), (1, 0)) == -1
+    assert d_coeff((1, 0), (1,), (1,)) == -1
+    assert tilde_c((2, 1), (1,), (1, 0)) == 1
+    assert tilde_d((2, 1, 0), (2, 1), (1,)) == 1
+    assert G_truncated((1, 0), 2) == TruncSeries(2, {(1,): 1, (1, 1): -1})
+    assert lr_coeff((2, 1, 0), (1,), (1, 1)) == 1
+    with pytest.raises(ValueError):
+        g_to_schur((1, 2))
+    for f in (c_coeff, d_coeff, tilde_c, tilde_d, lr_coeff):
+        with pytest.raises(ValueError):
+            f((2, 1), (1, 2), (1,))
+    with pytest.raises(ValueError):
+        G_truncated((1, 2), 3)

@@ -1,17 +1,49 @@
 """Every registered suite runs green at its documented default bound."""
 
+import hashlib
 import json
 from functools import cache
 
 import pytest
 
 from dualgroth import operators, suites
-from dualgroth.groth import rpp_generating_poly
+from dualgroth.groth import g_to_schur, rpp_generating_poly
 from dualgroth.partitions import format_skew, interval, size
 from dualgroth.schur import schur, to_polynomial
 from dualgroth.serialize import multipoly_text, symfunc_text
-from dualgroth.suites import SUITES, iter_cases, run_suite
-from dualgroth.tpoly import MultiPoly
+from dualgroth.suites import DEFAULT_SEED, SUITES, iter_cases, run_suite
+from dualgroth.tpoly import ONE, T, MultiPoly
+
+# sha256 of each suite's case ids, one a line in case order, at its
+# default bound and DEFAULT_SEED (the first 16 hex digits)
+CASE_IDS = {
+    "symmetry-gate": "344c955dab0f9e6a",
+    "g-top-term": "960893f92c03d26f",
+    "g-coproduct": "0f6ae310c1108a77",
+    "i-equals-one": "6aa59fd25593578f",
+    "single-variable-weight": "6aa59fd25593578f",
+    "g-G-duality": "db16b3dd4e074e12",
+    "sum-rules-c": "625ed62118427759",
+    "sum-rules-d": "692b938fbae4c784",
+    "t-sum-rules": "efc956b2fa6dc75e",
+    "i-multiplicative": "847fb5f3df41e2b5",
+    "i-inverse": "960893f92c03d26f",
+    "i-substitution": "322633352dbc82f5",
+    "i-skew": "625ed62118427759",
+    "perp-composition": "ab4cd1d2354fa372",
+    "perp-adjoint": "ab4cd1d2354fa372",
+    "phi-t-intertwine": "bc563b63291a7a12",
+    "h-perp-basis": "62ae21c802fd9986",
+    "e-perp-basis": "62ae21c802fd9986",
+    "e-functional-morphism": "622bfae277d350e5",
+    "series-generators": "e02a7e4f7048b74c",
+    "series-g-products": "ebe64d96e938296c",
+    "hopf-axioms": "59c5222b69a7309a",
+    "incidence-inverse": "e876c3d146a364b9",
+    "example-321-1": "4b43f3464ddea00f",
+    "counterexamples": "27ff8b593510a6d8",
+    "skew-pieri": "550c49e6388d716b",
+}
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -20,6 +52,15 @@ def test_suite_default_run_is_green(name):
     assert results, "suite %s yielded no cases" % name
     bad = [(cid, lhs, rhs) for cid, ok, lhs, rhs in results if not ok]
     assert not bad, bad[:3]
+
+
+def test_case_lists_are_pinned():
+    # a dropped, added, renamed or reordered case changes its suite's hash
+    got = {}
+    for name in SUITES:
+        ids = "\n".join(cid for cid, _ in iter_cases(name, seed=DEFAULT_SEED))
+        got[name] = hashlib.sha256(ids.encode()).hexdigest()[:16]
+    assert got == CASE_IDS
 
 
 @pytest.mark.parametrize("name, case", [("i-skew", "[3,2,1]/[1]"),
@@ -52,6 +93,29 @@ def _with_g(monkeypatch, shape, extra):
         return f + extra if (tuple(la), tuple(mu)) == shape else f
 
     monkeypatch.setattr(suites, "g_skew", patched)
+
+
+@pytest.mark.parametrize("name, case, shape, first, weight", [
+    # the by-skew sum reads g_{la/nu} with weight t^col(nu)
+    ("h-perp-basis", "[2,1]", ((2, 1), (1,)),
+     lambda: operators.H_perp(T, g_to_schur((2, 1))), T),
+    # the closed form reads g_{la/1^k} with weight t (t+1)^(k-1)
+    ("e-perp-basis", "[2,1]", ((2, 1), (1,)),
+     lambda: operators.E_perp(T, g_to_schur((2, 1))), T),
+    # the outer interval sum reads g_{la/nu}, the inner one g_{nu/mu}
+    ("i-skew", "[3,2,1]/[1]", ((3, 2, 1), (2, 1)),
+     lambda: operators.op_I(suites.g_skew((3, 2, 1), (1,))), ONE),
+], ids=["h-perp-basis", "e-perp-basis", "i-skew"])
+def test_the_last_side_is_compared(monkeypatch, name, case, shape, first, weight):
+    # an extra s_1 in the g of shape reaches only the last of the case's
+    # three sides, so the case fails only if every side is compared, and
+    # its texts are the first side and that last one
+    image = first()
+    _with_g(monkeypatch, shape, schur((1,)))
+    ok, lhs, rhs = dict(iter_cases(name))[case]()
+    assert not ok
+    assert lhs == symfunc_text(image)
+    assert rhs == symfunc_text(image + schur((1,)).scale(weight))
 
 
 def _per_alphabet(la, mu):
