@@ -27,61 +27,18 @@ the rows and the columns of one table of strict elegant fillings
 (Lenart, Ann. Comb. 4 (2000), Thm 2.2).  Both kinds of filling are
 counted by one cached recursion, _fillings, which peels the cells
 labelled k for k from the top label down; the step rule (elegant or
-strict) is its argument.
+strict) is its argument.  Every g coordinate [g_la] f is read by one
+reader, _g_coordinate.
 """
 
 from functools import cache
 from types import MappingProxyType
 
-from .partitions import (_box, as_partition, cells, contains,
+from .partitions import (_box, as_partition, contains,
                          partitions_of_containing, size, skew_half_turn,
                          skew_normal_form, skew_pieces, transpose)
 from .schur import SymFunc, TruncSeries, schur_expand_raw
 from .tpoly import ZERO, _coerce, add_terms, sum_rows
-
-
-def enumerate_rpp(outer, inner, max_entry):
-    """Yield every reverse plane partition of outer/inner with entries in
-    1..max_entry, as a dict cell -> value, in column-major fill order.
-
-    Entries weakly increase along rows and down columns.
-    """
-    if max_entry < 1:
-        raise ValueError("max_entry must be >= 1")
-    if not contains(inner, outer):
-        raise ValueError("not a skew shape: %r/%r" % (tuple(outer), tuple(inner)))
-    shape = cells(outer, inner)
-    order = sorted(shape, key=lambda rc: (rc[1], rc[0]))
-    filling = {}
-
-    def rec(idx):
-        if idx == len(order):
-            yield dict(filling)
-            return
-        r, c = order[idx]
-        lo = 1
-        if (r - 1, c) in filling:
-            lo = max(lo, filling[(r - 1, c)])
-        if (r, c - 1) in filling:
-            lo = max(lo, filling[(r, c - 1)])
-        for v in range(lo, max_entry + 1):
-            filling[(r, c)] = v
-            yield from rec(idx + 1)
-        del filling[(r, c)]
-
-    yield from rec(0)
-
-
-def rpp_weight(filling):
-    """Column-content weight: value -> number of columns containing it."""
-    per_column = {}
-    for (r, c), v in filling.items():
-        per_column.setdefault(c, set()).add(v)
-    weight = {}
-    for vals in per_column.values():
-        for v in vals:
-            weight[v] = weight.get(v, 0) + 1
-    return weight
 
 
 def _rpp_packed(outer, inner, nvars):
@@ -151,11 +108,10 @@ def rpp_generating_poly(outer, inner, nvars):
     Fillings that agree on the kept entries and on their set of distinct
     values are counted together and shift the state's polynomial by one x_v
     per distinct value v.  Equal states merge; the result is the sum over
-    the final states.  Agrees with summing rpp_weight over enumerate_rpp.
-    The transfer runs in _rpp_packed on exponents packed into one int, a
-    field per variable as wide as the bit length of the number of columns
-    (which bounds every exponent), so a shift is one addition; this
-    function unpacks its result.
+    the final states.  The transfer runs in _rpp_packed on exponents
+    packed into one int, a field per variable as wide as the bit length of
+    the number of columns (which bounds every exponent), so a shift is one
+    addition; this function unpacks its result.
     """
     return unpack_exponents(*_rpp_packed(outer, inner, nvars), nvars)
 
@@ -220,10 +176,11 @@ def g_skew(outer, inner=()):
     supported on subpartitions of la, so min(|la/mu|, rows of la)
     variables suffice) and lifts it; the lift raises ValueError if that
     polynomial is not symmetric, so it is the one symmetry check.  The
-    result is cached and shared, so its terms are a read-only mapping.
+    result is cached and shared, so its terms are a read-only mapping.  A
+    shape that is not a partition raises ValueError and is never cached.
     """
-    outer, inner = tuple(outer), tuple(inner)
     if not contains(inner, outer):
+        as_partition(outer), as_partition(inner)  # refuse a non-partition
         return SymFunc.zero().frozen()
     normal = skew_normal_form(outer, inner)
     if normal != (outer, inner):
@@ -248,8 +205,9 @@ def g_skew(outer, inner=()):
 
 
 def g_to_schur(la):
-    """Schur expansion of the straight-shape g_la."""
-    return g_skew(as_partition(la), ())
+    """Schur expansion of the straight-shape g_la: the cache entry of
+    g_skew(la, ()), whose miss checks the shape."""
+    return g_skew(tuple(la), ())
 
 
 def schur_to_g(f):
@@ -260,6 +218,12 @@ def schur_to_g(f):
     """
     return sum_rows([(c, _fillings(sigma, len(sigma) - 1, True))
                      for sigma, c in f.terms.items()])
+
+
+def _g_coordinate(f, la):
+    """[g_la] f: only the terms of f on shapes containing la reach g_la."""
+    return schur_to_g(f._like({sigma: c for sigma, c in f.terms.items()
+                               if contains(la, sigma)})).get(la, ZERO)
 
 
 @cache
@@ -282,17 +246,13 @@ def G_truncated(la, N):
 def c_coeff(la, mu, nu):
     """Coefficient of g_nu in the g-expansion of g_{la/mu} (an integer)."""
     la, mu, nu = map(as_partition, (la, mu, nu))
-    return schur_to_g(g_skew(la, mu)).get(nu, ZERO).as_int()
+    return _g_coordinate(g_skew(la, mu), nu).as_int()
 
 
 def d_coeff(la, mu, nu):
     """[g_la] g_mu g_nu (an integer): 0 unless mu, nu sit in la, as the coproduct
-    of G_la, dual to g_la, lives on such pairs (Buch, Acta Math. 189 (2002)); G_la
-    lives on the shapes containing la, so only those terms of the product count."""
+    of G_la, dual to g_la, lives on such pairs (Buch, Acta Math. 189 (2002))."""
     la, mu, nu = map(as_partition, (la, mu, nu))
     if size(la) > size(mu) + size(nu) or not contains(mu, la) or not contains(nu, la):
         return 0
-    f = g_to_schur(mu) * g_to_schur(nu)
-    f = f._like({sigma: c for sigma, c in f.terms.items() if contains(la, sigma)})
-    return schur_to_g(f).get(la, ZERO).as_int()
-
+    return _g_coordinate(g_to_schur(mu) * g_to_schur(nu), la).as_int()

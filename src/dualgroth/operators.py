@@ -10,16 +10,16 @@ identity), so it reads the branching table of each Schur term and builds
 no series; E(t)^perp = omega H(t)^perp omega reads the table of the
 transpose.  I = H(1)^perp and I^-1 = E(-1)^perp.  c-tilde reads one skew
 g under I by the interval identity I(g_{la/mu}) = sum over kappa in
-[mu, la] of g_{la/kappa}, which the i-skew suite checks.  The incidence
-functions with strip supports list them per shape, without a scan over
-the comparable pairs: the Moebius function reads the box of rook strips
-and j_t the vertical strips removed from each shape.
+[mu, la] of g_{la/kappa}, which the i-skew suite checks.  Every
+incidence function is built by _incidence from its row {mu: value} at
+each shape la: the Moebius function reads the box of rook strips and j_t
+the vertical strips removed from la.
 """
 
 from functools import cache
 from types import MappingProxyType
 
-from .groth import G_truncated, g_skew, g_to_schur, schur_to_g
+from .groth import G_truncated, _g_coordinate, g_skew, g_to_schur
 from .partitions import (_box, a_statistic, as_partition, column_count,
                          contains, horizontal_strip_additions, size,
                          subpartitions, transpose, vertical_strip_removals)
@@ -103,7 +103,7 @@ def apply_operator(name, f, t_param=None, mu=None):
     if name == "Gperp":
         if mu is None:
             raise ValueError("Gperp needs the partition mu")
-        mu = tuple(mu)
+        mu = as_partition(mu)
         # below its degree G_mu^perp is zero; G_mu needs a cap of at least |mu|
         return perp(G_truncated(mu, max(f.degree(), size(mu))), f)
     raise ValueError("unknown operator %r" % name)
@@ -112,30 +112,22 @@ def apply_operator(name, f, t_param=None, mu=None):
 # ---------------------------------------------------------------------------
 # Incidence algebra of Young's lattice, restricted to [empty, ground].
 
-@cache
-def _comparable_pairs(ground):
-    pairs = []
-    for nu in subpartitions(ground):
-        for mu in subpartitions(nu):
-            pairs.append((mu, nu))
-    return tuple(pairs)
-
-
 class IncidenceFn:
     """Scalar function on comparable pairs inside the interval [(), ground]."""
 
     __slots__ = ("ground", "values")
 
     def __init__(self, ground, values=None):
-        self.ground = tuple(ground)
+        self.ground = as_partition(ground)
         clean = {}
         for (mu, nu), c in (values or {}).items():
             c = _coerce(c)
             if not c.is_zero():
+                mu, nu = as_partition(mu), as_partition(nu)
                 if not (contains(mu, nu) and contains(nu, self.ground)):
                     raise ValueError("pair (%r, %r) outside the ground interval"
                                      % (mu, nu))
-                clean[(tuple(mu), tuple(nu))] = c
+                clean[(mu, nu)] = c
         self.values = clean
 
     @staticmethod
@@ -147,7 +139,7 @@ class IncidenceFn:
         return out
 
     def value(self, mu, nu):
-        return self.values.get((tuple(mu), tuple(nu)), ZERO)
+        return self.values.get((as_partition(mu), as_partition(nu)), ZERO)
 
     def substitute(self, v):
         """Specialize t to the integer v; pairs whose value becomes 0 drop."""
@@ -198,46 +190,42 @@ def _times_t(a, d):
     return a * T ** d
 
 
+def _incidence(ground, row):
+    """The IncidenceFn on [(), ground] whose row at each la inside ground is
+    row(la), a {mu: nonzero TPoly} map over shapes mu inside la."""
+    ground = as_partition(ground)
+    return IncidenceFn._clean(ground, {(mu, la): c for la in subpartitions(ground)
+                                       for mu, c in row(la).items()})
+
+
 def inc_delta(ground):
-    ground = tuple(ground)
-    return IncidenceFn._clean(ground, {(mu, mu): ONE for mu in subpartitions(ground)})
+    return _incidence(ground, lambda la: {la: ONE})
 
 
 def inc_zeta(ground):
-    ground = tuple(ground)
-    return IncidenceFn._clean(ground, {pair: ONE for pair in _comparable_pairs(ground)})
+    return _incidence(ground, lambda la: dict.fromkeys(subpartitions(la), ONE))
 
 
 def inc_mobius(ground):
-    """Moebius function: (-1)^|nu/mu| on the rook strips nu/mu, the box
-    max(nu_{i+1}, nu_i - 1) <= mu_i <= nu_i of each nu inside ground."""
-    ground = tuple(ground)
-    sign = (ONE, -ONE)
-    vals = {}
-    for nu in subpartitions(ground):
-        n = size(nu)
-        floor = tuple(max(below, x - 1) for x, below in zip(nu, nu[1:] + (0,)))
-        for mu in _box(floor, nu):
-            vals[(mu, nu)] = sign[(n - sum(mu)) % 2]
-    return IncidenceFn._clean(ground, vals)
+    """Moebius function: (-1)^|la/mu| on the rook strips la/mu, the box
+    max(la_{i+1}, la_i - 1) <= mu_i <= la_i of each la inside ground."""
+    return _incidence(ground, lambda la: {
+        mu: -ONE if (size(la) - size(mu)) % 2 else ONE
+        for mu in _box(tuple(map(max, la[1:] + (0,), [x - 1 for x in la])), la)})
 
 
 def inc_it(ground):
     """i_t(mu, la) = t^(number of columns of la/mu)."""
-    ground = tuple(ground)
-    return IncidenceFn._clean(ground, {(mu, la): _times_t(ONE, column_count(la, mu))
-                                       for mu, la in _comparable_pairs(ground)})
+    return _incidence(ground, lambda la: {mu: _times_t(ONE, column_count(la, mu))
+                                          for mu in subpartitions(la)})
 
 
 def inc_jt(ground):
     """j_t: supported on vertical strips la/mu, where it takes the value
     (-1)^|la/mu| t^c (t-1)^(|la/mu| - c) with c the column count."""
-    ground = tuple(ground)
-    vals = {}
-    for la in subpartitions(ground):
-        for mu in vertical_strip_removals(la):
-            vals[(mu, la)] = _jt_value(size(la) - size(mu), column_count(la, mu))
-    return IncidenceFn._clean(ground, vals)
+    return _incidence(ground, lambda la: {
+        mu: _jt_value(size(la) - size(mu), column_count(la, mu))
+        for mu in vertical_strip_removals(la)})
 
 
 @cache
@@ -270,7 +258,7 @@ def skew_pieri(k, mu, nu):
     binomial weight uses the falling-factorial extension and is zero for a
     negative lower index.
     """
-    mu, nu = tuple(mu), tuple(nu)
+    mu, nu = as_partition(mu), as_partition(nu)
     if k < 0:
         raise ValueError("k must be >= 0")
     if not contains(nu, mu):
@@ -309,17 +297,15 @@ def tilde_c(la, mu, nu):
     in I(g_{la/mu}), by the interval identity that the i-skew suite checks;
     0 when mu is not inside la, where g_{la/mu} is 0."""
     la, mu, nu = map(as_partition, (la, mu, nu))
-    return schur_to_g(op_I(g_skew(la, mu))).get(nu, ZERO).as_int()
+    return _g_coordinate(op_I(g_skew(la, mu)), nu).as_int()
 
 
 def tilde_d(la, mu, nu):
     """Sum of d(la, alpha, beta) over alpha in mu, beta in nu: [g_la] I(g_mu g_nu),
     as I sends g_mu to that sum of g_alpha.  As in d_coeff, mu and nu are cut to
-    la and only shapes containing la count (I keeps each s_sigma inside sigma)."""
+    la first."""
     la, mu, nu = map(as_partition, (la, mu, nu))
     mu, nu = tuple(map(min, mu, la)), tuple(map(min, nu, la))
     if size(la) > size(mu) + size(nu):
         return 0
-    f = g_to_schur(mu) * g_to_schur(nu)
-    f = f._like({sigma: c for sigma, c in f.terms.items() if contains(la, sigma)})
-    return schur_to_g(op_I(f)).get(la, ZERO).as_int()
+    return _g_coordinate(op_I(g_to_schur(mu) * g_to_schur(nu)), la).as_int()

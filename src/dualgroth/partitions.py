@@ -3,7 +3,9 @@
 Partitions are plain tuples of weakly decreasing positive integers, with no
 trailing zeros; the empty partition is ``()``.  All comparisons pad with
 zeros on the fly.  A skew shape is an ordered pair ``(outer, inner)`` with
-``inner`` contained in ``outer``.
+``inner`` contained in ``outer``.  The lattice primitives take canonical
+tuples unchecked; ``as_partition`` is the shape rule for any other input,
+and ``skew_normal_form`` checks every row in its one pass.
 
 The sized enumerations read one walk, ``_between(lo, hi, n)``: the
 partitions of n that lie between lo and hi row by row, built one row at a
@@ -92,14 +94,18 @@ def skew_normal_form(outer, inner=()):
     at and below it, which are the bottom nonempty row's inner part plus
     max(0, inner_r - outer_s) for each pair of consecutive nonempty rows
     r above s.  The kept rows and columns keep their order, so each cell
-    keeps its row and column neighbours.
+    keeps its row and column neighbours.  A row of outer or inner below
+    the row under it, or below 0, raises ValueError.
     """
     _check_skew(outer, inner)
     padded = inner + (0,) * (len(outer) - len(inner))
     out, inn = [], []
-    shift = below = 0
+    shift = below = lo_below = hi_below = 0
     for r in range(len(outer) - 1, -1, -1):
         lo, hi = padded[r], outer[r]
+        if lo < lo_below or hi < hi_below:
+            raise ValueError("not a skew shape: %s" % format_skew(outer, inner))
+        lo_below, hi_below = lo, hi
         if lo < hi:
             if lo > below:
                 shift += lo - below

@@ -1,9 +1,10 @@
+from math import comb
+
 import pytest
 
 from dualgroth import groth
-from dualgroth.groth import (G_truncated, c_coeff, d_coeff, enumerate_rpp,
-                             g_skew, g_to_schur, rpp_generating_poly,
-                             rpp_weight, schur_to_g)
+from dualgroth.groth import (G_truncated, c_coeff, d_coeff, g_skew,
+                             g_to_schur, rpp_generating_poly, schur_to_g)
 from dualgroth.partitions import (column_count, contains,
                                   partitions_of_containing, partitions_up_to,
                                   size, skew_half_turn, subpartitions)
@@ -12,7 +13,9 @@ from dualgroth.schur import (SymFunc, TruncSeries, hall, lr_coeff, schur,
                              schur_expand_raw, raw_is_symmetric, to_polynomial)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
 from lift_oracle import peel_lift
+from literature_oracle import jacobi_trudi_g
 from lr_oracle import hook_syt_count, skew_syt_count
+from rpp_oracle import enumerate_rpp, rpp_weight
 
 
 def as_int_dict(expansion):
@@ -50,6 +53,22 @@ def test_generating_poly_matches_enumeration():
                     key = tuple(exp)
                     brute[key] = brute.get(key, 0) + 1
                 assert rpp_generating_poly(la, mu, n) == brute
+
+
+def test_straight_g_matches_the_jacobi_trudi_determinant():
+    for la in partitions_up_to(8):
+        assert g_to_schur(la) == jacobi_trudi_g(la), la
+    for k in range(1, 7):
+        staircase = tuple(range(k, 0, -1))
+        assert g_to_schur(staircase) == jacobi_trudi_g(staircase), staircase
+
+
+def test_jacobi_trudi_with_plain_binomials_fails():
+    # mutant: h_m(x, 1^a) weighted by C(a, k) in place of C(a+k-1, k); the
+    # two weights agree for k <= 1
+    wrong = {la for la in partitions_up_to(4) if g_to_schur(la) != jacobi_trudi_g(la, comb)}
+    assert {(1, 1, 1), (2, 2), (2, 1, 1)} <= wrong
+    assert not wrong & (set(partitions_up_to(3)) - {(1, 1, 1)})
 
 
 def test_g_skew_small_values():
