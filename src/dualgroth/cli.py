@@ -10,11 +10,10 @@ import argparse
 import sys
 from functools import cache
 
-from .exprs import ExprError, eval_expr, parse_expr
+from .exprs import ExprError, _parse_shape, eval_expr, parse_expr
 from .groth import _g_coordinate, c_coeff, d_coeff, schur_to_g
 from .operators import apply_operator, tilde_c, tilde_d
-from .partitions import parse_partition
-from .schur import E_series, H_series, SymFunc, TruncSeries, hall, lr_coeff
+from .schur import E_series, H_series, TruncSeries, hall, lr_coeff
 from .serialize import g_expansion_json, series_json, symfunc_json, to_text
 from .suites import DEFAULT_SEED, SUITES, iter_cases
 from .tpoly import T, parse_t_value
@@ -27,9 +26,22 @@ def _emit(obj):
 
 def _parse_part_arg(text, name):
     try:
-        return parse_partition(text)
+        return _parse_shape(text)
     except ValueError as exc:
         raise ExprError("bad %s: %s" % (name, exc))
+
+
+def _polynomial(text, why):
+    """The SymFunc value of the expression text; a G atom in it is the error why."""
+    node = parse_expr(text)
+    if "G" in text:  # the tokenizer admits the letter G only as a G atom
+        raise ExprError(why)
+    return eval_expr(node)
+
+
+def _emit_in(basis, f):
+    """Write the SymFunc f in the s or the g basis."""
+    _emit(symfunc_json(f) if basis == "s" else g_expansion_json(schur_to_g(f)))
 
 
 def cmd_expand(args):
@@ -38,16 +50,13 @@ def cmd_expand(args):
     if args.cap is not None and "G" not in args.expr:
         raise ExprError("--cap applies to expressions with G atoms only")
     value = eval_expr(node, cap=args.cap)
-    if args.to == "s":
-        if isinstance(value, TruncSeries):
-            _emit(series_json(value))
-        else:
-            _emit(symfunc_json(value))
-        return 0
-    if isinstance(value, TruncSeries):
+    if not isinstance(value, TruncSeries):
+        _emit_in(args.to, value)
+    elif args.to == "s":
+        _emit(series_json(value))
+    else:
         raise ExprError("a truncated series has no finite g expansion; "
                         "expand --to s instead")
-    _emit(g_expansion_json(schur_to_g(value)))
     return 0
 
 
@@ -56,17 +65,10 @@ def cmd_apply(args):
         raise ExprError("--t applies to Hperp and Eperp only")
     if args.mu is not None and args.op != "Gperp":
         raise ExprError("--mu applies to Gperp only")
-    node = parse_expr(args.expr)
-    value = eval_expr(node)
-    if not isinstance(value, SymFunc):
-        raise ExprError("operators act on polynomial expressions only")
+    value = _polynomial(args.expr, "operators act on polynomial expressions only")
     t_param = parse_t_value(args.t) if args.t is not None else None
     mu = _parse_part_arg(args.mu, "--mu") if args.mu is not None else None
-    result = apply_operator(args.op, value, t_param=t_param, mu=mu)
-    if args.to == "s":
-        _emit(symfunc_json(result))
-    else:
-        _emit(g_expansion_json(schur_to_g(result)))
+    _emit_in(args.to, apply_operator(args.op, value, t_param=t_param, mu=mu))
     return 0
 
 
@@ -75,10 +77,7 @@ def cmd_inner(args):
         raise ExprError("--t applies to the H and E series only")
     if args.la is not None and args.series != "G":
         raise ExprError("--lambda applies to the G series only")
-    node = parse_expr(args.expr)
-    value = eval_expr(node)
-    if not isinstance(value, SymFunc):
-        raise ExprError("the pairing takes a polynomial expression")
+    value = _polynomial(args.expr, "the pairing takes a polynomial expression")
     if args.series in ("H", "E"):
         t_param = parse_t_value(args.t) if args.t is not None else T
         series = (H_series if args.series == "H" else E_series)(value.degree(), t_param)

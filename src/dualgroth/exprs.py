@@ -135,6 +135,14 @@ def parse_expr(text):
     return node
 
 
+def _parse_shape(text):
+    """A partition flag's text [a,b,...], read by the grammar of an atom's shape."""
+    parser = _Parser(tokenize(text))
+    la = parser.parse_partition()
+    parser.expect("end")
+    return la
+
+
 # precedence: additive 1, multiplicative and unary minus 2, atoms 3
 def format_expr(node, parent_prec=0):
     kind = node[0]

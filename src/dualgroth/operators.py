@@ -139,7 +139,10 @@ class IncidenceFn:
         return out
 
     def value(self, mu, nu):
-        return self.values.get((as_partition(mu), as_partition(nu)), ZERO)
+        try:  # the keys are canonical: any other shape misses and is normalised
+            return self.values[(mu, nu)]
+        except (KeyError, TypeError):
+            return self.values.get((as_partition(mu), as_partition(nu)), ZERO)
 
     def substitute(self, v):
         """Specialize t to the integer v; pairs whose value becomes 0 drop."""

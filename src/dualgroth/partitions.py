@@ -311,14 +311,3 @@ def format_skew(outer, inner):
     """Text form of a skew shape, e.g. ``[3,2,1]/[1]``."""
     return format_partition(outer) + "/" + format_partition(inner)
 
-
-def parse_partition(text):
-    """Parse the bracketed text form back to a tuple."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError("expected [a,b,...], got %r" % text)
-    body = s[1:-1].strip()
-    if not body:
-        return ()
-    # ints first, so an error names the parsed parts, as a [..] atom's does
-    return as_partition([int(x) for x in body.split(",")])

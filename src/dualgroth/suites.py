@@ -64,10 +64,10 @@ def _strip_weight(la, nu):
     return T ** c * (T + ONE) ** (size(la) - size(nu) - c)
 
 
-def _random_symfunc(rng, max_deg, nterms=3, with_t=False):
+def _random_symfunc(rng, max_deg, with_t=False):
     pool = partitions_up_to(max_deg)
     terms = {}
-    for _ in range(nterms):
+    for _ in range(3):
         la = pool[rng.randrange(len(pool))]
         if with_t and rng.random() < 0.5:
             c = TPoly((rng.randint(-3, 3), rng.randint(-2, 2)))
@@ -77,10 +77,10 @@ def _random_symfunc(rng, max_deg, nterms=3, with_t=False):
     return SymFunc(terms)
 
 
-def _random_series(rng, cap, nterms=4):
+def _random_series(rng, cap):
     pool = partitions_up_to(cap)
     terms = {}
-    for _ in range(nterms):
+    for _ in range(4):
         la = pool[rng.randrange(len(pool))]
         terms[la] = terms.get(la, ZERO) + TPoly((rng.randint(-2, 2), rng.randint(-1, 1)))
     terms[()] = ONE
@@ -91,6 +91,34 @@ def _skew_shapes(max_size):
     for la in partitions_up_to(max_size):
         for mu in subpartitions(la):
             yield la, mu
+
+
+def _ordered_pairs(max_size):
+    """(case id, mu, nu) for mu, nu up to max_size, nu not before mu in sort_key order."""
+    ps = partitions_up_to(max_size)
+    for mu in ps:
+        for nu in ps:
+            if sort_key(nu) >= sort_key(mu):
+                yield "(%s,%s)" % (format_partition(mu), format_partition(nu)), mu, nu
+
+
+def _random_pairs(rng, max_size, count):
+    """(case id, f, g) for count random pairs, drawn one pair per case."""
+    for i in range(count):
+        yield "pair-%02d" % i, _random_symfunc(rng, max_size), _random_symfunc(rng, max_size)
+
+
+def _random_triples(rng, max_size):
+    """(case id, F, G, f) for 25 random triples, drawn one triple per case."""
+    cap = max_size + 2
+    for i in range(25):
+        yield ("triple-%02d" % i, _random_series(rng, cap), _random_series(rng, cap),
+               _random_symfunc(rng, max_size, with_t=True))
+
+
+def _product_in_g(mu, nu):
+    """The g expansion of g_mu g_nu."""
+    return schur_to_g(g_to_schur(mu) * g_to_schur(nu))
 
 
 # --- rpp / g-basis suites ---------------------------------------------------
@@ -275,18 +303,11 @@ def suite_sum_rules_c(max_size, rng):
 
 
 def suite_sum_rules_d(max_size, rng):
-    ps = partitions_up_to(max_size)
-    for mu in ps:
-        for nu in ps:
-            if sort_key(nu) < sort_key(mu):
-                continue
+    for cid, mu, nu in _ordered_pairs(max_size):
+        def thunk(mu=mu, nu=nu):
+            return _eq(_text, sum(_product_in_g(mu, nu).values(), ZERO), ONE)
 
-            def thunk(mu=mu, nu=nu):
-                f = g_to_schur(mu) * g_to_schur(nu)
-                total = sum(schur_to_g(f).values(), ZERO)
-                return _eq(_text, total, ONE)
-
-            yield "(%s,%s)" % (format_partition(mu), format_partition(nu)), thunk
+        yield cid, thunk
 
 
 def suite_t_sum_rules(max_size, rng):
@@ -297,32 +318,23 @@ def suite_t_sum_rules(max_size, rng):
             return _eq(_text, total, T ** column_count(la, mu))
 
         yield "c:" + format_skew(la, mu), thunk
-    ps = partitions_up_to(max_size)
-    for mu in ps:
-        for nu in ps:
-            if sort_key(nu) < sort_key(mu):
-                continue
+    for cid, mu, nu in _ordered_pairs(max_size):
+        def thunk(mu=mu, nu=nu):
+            total = sum((c * T ** column_count(la)
+                         for la, c in _product_in_g(mu, nu).items()), ZERO)
+            return _eq(_text, total, T ** (column_count(mu) + column_count(nu)))
 
-            def thunk(mu=mu, nu=nu):
-                f = g_to_schur(mu) * g_to_schur(nu)
-                total = sum((c * T ** column_count(la)
-                             for la, c in schur_to_g(f).items()), ZERO)
-                return _eq(_text, total, T ** (column_count(mu) + column_count(nu)))
-
-            yield "d:(%s,%s)" % (format_partition(mu), format_partition(nu)), thunk
+        yield "d:" + cid, thunk
 
 
 # --- operator suites --------------------------------------------------------
 
 def suite_i_multiplicative(max_size, rng):
-    for i in range(100):
-        f = _random_symfunc(rng, max_size)
-        g = _random_symfunc(rng, max_size)
-
+    for cid, f, g in _random_pairs(rng, max_size, 100):
         def thunk(f=f, g=g):
             return _eq(symfunc_text, op_I(f * g), op_I(f) * op_I(g))
 
-        yield "pair-%02d" % i, thunk
+        yield cid, thunk
 
 
 def suite_i_inverse(max_size, rng):
@@ -374,33 +386,19 @@ def suite_i_skew(max_size, rng):
 
 
 def suite_perp_composition(max_size, rng):
-    for i in range(25):
-        cap = max_size + 2
-        F = _random_series(rng, cap)
-        G = _random_series(rng, cap)
-        f = _random_symfunc(rng, max_size, with_t=True)
-
+    for cid, F, G, f in _random_triples(rng, max_size):
         def thunk(F=F, G=G, f=f):
-            lhs = perp(series_mul(F, G), f)
-            rhs = perp(G, perp(F, f))
-            return _eq(symfunc_text, lhs, rhs)
+            return _eq(symfunc_text, perp(series_mul(F, G), f), perp(G, perp(F, f)))
 
-        yield "triple-%02d" % i, thunk
+        yield cid, thunk
 
 
 def suite_perp_adjoint(max_size, rng):
-    for i in range(25):
-        cap = max_size + 2
-        F = _random_series(rng, cap)
-        G = _random_series(rng, cap)
-        f = _random_symfunc(rng, max_size, with_t=True)
-
+    for cid, F, G, f in _random_triples(rng, max_size):
         def thunk(F=F, G=G, f=f):
-            lhs = hall(series_mul(F, G), f)
-            rhs = hall(G, perp(F, f))
-            return _eq(_text, lhs, rhs)
+            return _eq(_text, hall(series_mul(F, G), f), hall(G, perp(F, f)))
 
-        yield "triple-%02d" % i, thunk
+        yield cid, thunk
 
 
 def suite_phi_t_intertwine(max_size, rng):
@@ -441,17 +439,12 @@ def suite_e_perp_basis(max_size, rng):
 
 
 def suite_e_functional_morphism(max_size, rng):
-    for i in range(25):
-        f = _random_symfunc(rng, max_size)
-        g = _random_symfunc(rng, max_size)
-
+    for cid, f, g in _random_pairs(rng, max_size, 25):
         def thunk(f=f, g=g):
             F = E_series(f.degree() + g.degree())
-            lhs = hall(F, f * g)
-            rhs = hall(F, f) * hall(F, g)
-            return _eq(_text, lhs, rhs)
+            return _eq(_text, hall(F, f * g), hall(F, f) * hall(F, g))
 
-        yield "pair-%02d" % i, thunk
+        yield cid, thunk
 
 
 # --- series suites ----------------------------------------------------------
@@ -485,6 +478,18 @@ def suite_series_generators(max_size, rng):
     yield "E(t)=1+sum@%d" % N, et_check
 
 
+def _containing_up_to(la, N):
+    """The shapes containing la with at most N cells, by size."""
+    for m in range(size(la), N + 1):
+        yield from partitions_of_containing(m, la)
+
+
+def _vertical_strips_up_to(la, N):
+    """The shapes mu with at most N cells and mu/la a vertical strip, by size."""
+    for j in range(N - size(la) + 1):
+        yield from vertical_strip_additions(la, j)
+
+
 def suite_series_g_products(max_size, rng):
     N = max_size + 3
     sum_G = _sum(TruncSeries(N), ((1, G_truncated(mu, N)) for mu in partitions_up_to(N)))
@@ -492,8 +497,7 @@ def suite_series_g_products(max_size, rng):
         def ht_case(la=la):
             lhs = series_mul(H_series(N), G_truncated(la, N))
             rhs = _sum(TruncSeries(N), ((T ** column_count(mu, la), G_truncated(mu, N))
-                                        for m in range(size(la), N + 1)
-                                        for mu in partitions_of_containing(m, la)))
+                                        for mu in _containing_up_to(la, N)))
             return _eq(series_text, lhs, rhs)
 
         yield "H(t)G%s" % format_partition(la), ht_case
@@ -501,8 +505,7 @@ def suite_series_g_products(max_size, rng):
         def et_case(la=la):
             lhs = series_mul(E_series(N), G_truncated(la, N))
             rhs = _sum(TruncSeries(N), ((_strip_weight(mu, la), G_truncated(mu, N))
-                                        for j in range(N - size(la) + 1)
-                                        for mu in vertical_strip_additions(la, j)))
+                                        for mu in _vertical_strips_up_to(la, N)))
             return _eq(series_text, lhs, rhs)
 
         yield "E(t)G%s" % format_partition(la), et_case
@@ -510,8 +513,7 @@ def suite_series_g_products(max_size, rng):
         def i_star_case(la=la):
             lhs = series_mul(sum_G, G_truncated(la, N))
             rhs = _sum(TruncSeries(N), ((1, G_truncated(mu, N))
-                                        for m in range(size(la), N + 1)
-                                        for mu in partitions_of_containing(m, la)))
+                                        for mu in _containing_up_to(la, N)))
             return _eq(series_text, lhs, rhs)
 
         yield "sumG*G%s" % format_partition(la), i_star_case
@@ -519,9 +521,8 @@ def suite_series_g_products(max_size, rng):
         def d_star_case(la=la):
             lhs = series_mul(TruncSeries.unit(N) - G_truncated((1,), N),
                              G_truncated(la, N))
-            rhs = _sum(TruncSeries(N), (((-1) ** j, G_truncated(mu, N))
-                                        for j in range(N - size(la) + 1)
-                                        for mu in vertical_strip_additions(la, j)
+            rhs = _sum(TruncSeries(N), (((-1) ** (size(mu) - size(la)), G_truncated(mu, N))
+                                        for mu in _vertical_strips_up_to(la, N)
                                         if is_horizontal_strip(mu, la)))
             return _eq(series_text, lhs, rhs)
 
@@ -544,24 +545,15 @@ def suite_hopf_axioms(max_size, rng):
         yield "cocommutative:%s" % format_partition(la), cocomm_case
 
     cap = max_size + 1
+    # (case tag, name in the failure text, the series at cap)
+    for tag, name, series in (("H", "H", H_series), ("E", "E", E_series),
+                              ("phi-t-H1", "phi_t(H(1))",
+                               lambda cap: phi_t(H_series(cap, 1)))):
+        def grouplike(name=name, series=series):
+            return (is_group_like(series(cap)), "is_group_like(%s@%d)=False" % (name, cap),
+                    "True")
 
-    def grouplike_h():
-        ok = is_group_like(H_series(cap))
-        return (ok, "is_group_like(H@%d)=False" % cap, "True")
-
-    yield "group-like:H@%d" % cap, grouplike_h
-
-    def grouplike_e():
-        ok = is_group_like(E_series(cap))
-        return (ok, "is_group_like(E@%d)=False" % cap, "True")
-
-    yield "group-like:E@%d" % cap, grouplike_e
-
-    def grouplike_phi():
-        ok = is_group_like(phi_t(H_series(cap, 1)))
-        return (ok, "is_group_like(phi_t(H(1))@%d)=False" % cap, "True")
-
-    yield "group-like:phi-t-H1@%d" % cap, grouplike_phi
+        yield "group-like:%s@%d" % (tag, cap), grouplike
 
 
 # --- incidence algebra ------------------------------------------------------

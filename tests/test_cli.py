@@ -154,6 +154,21 @@ def test_flag_that_the_op_ignores_is_a_usage_error(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("apply", "--op", "I", "G[1]"), "operators act on polynomial expressions only"),
+    (("apply", "--op", "Hperp", "--to", "s", "s[1]+G[2]"),
+     "operators act on polynomial expressions only"),
+    (("inner", "--series", "H", "G[1]"), "the pairing takes a polynomial expression"),
+    (("inner", "--series", "G", "--lambda", "[1]", "G[1]*g[1]"),
+     "the pairing takes a polynomial expression"),
+])
+def test_a_G_atom_is_refused_as_not_a_polynomial(capsys, argv, err):
+    # neither command has --cap, so the error names the polynomial it needs
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: %s\n" % err
+
+
 def test_staircase_g_expands(capsys):
     code, lines = run_cli(capsys, "expand", "--to", "s", "g[6,5,4,3,2,1]")
     assert code == 0

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from dualgroth.exprs import ExprError, eval_expr, format_expr, parse_expr
+from dualgroth.exprs import (ExprError, _parse_shape, eval_expr, format_expr,
+                             parse_expr)
 from dualgroth.groth import G_truncated, g_skew
+from dualgroth.partitions import format_partition, partitions_up_to
 from dualgroth.schur import SymFunc, TruncSeries, schur, series_mul
 from dualgroth.tpoly import T
 
@@ -32,6 +34,31 @@ def test_parse_errors():
     for bad in ["", "s[2,", "g[1]/", "h", "q[1]", "1+", "s[1,2]", "(1", "t t"]:
         with pytest.raises(ExprError):
             parse_expr(bad)
+
+
+def test_a_shape_reads_as_the_shape_of_an_atom():
+    # a partition flag's text and the shape of an s[..] atom: one grammar
+    assert _parse_shape("[3,2,1]") == (3, 2, 1)
+    assert _parse_shape(" [ 3 , 2 ] ") == (3, 2)
+    assert _parse_shape("[2,0]") == (2,)
+    for la in partitions_up_to(6):
+        assert _parse_shape(format_partition(la)) == la
+    for text in ["[]", "[4,4,1]", "[1,2]", "[0,1]", "3,2,1", "[3,2", "[3,]",
+                 "[3]x", "[3][1]", "[+3]", "[1_0]", "[-1]", "[3.0]", ""]:
+        try:
+            want = ("s", _parse_shape(text))
+        except ExprError:
+            with pytest.raises(ExprError):
+                parse_expr("s" + text)
+        else:
+            assert parse_expr("s" + text) == want
+    # a shape that is not a partition is named by its parsed parts
+    for text in ["[1,2]", "[0,1]", "[2,-1]"]:
+        with pytest.raises(ExprError) as flag:
+            _parse_shape(text)
+        with pytest.raises(ExprError) as atom:
+            parse_expr("s" + text)
+        assert str(flag.value) == str(atom.value)
 
 
 def _random_ast(rng, depth):

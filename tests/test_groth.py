@@ -1,3 +1,4 @@
+from functools import cache
 from math import comb
 
 import pytest
@@ -13,7 +14,7 @@ from dualgroth.schur import (SymFunc, TruncSeries, hall, lr_coeff, schur,
                              schur_expand_raw, raw_is_symmetric, to_polynomial)
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
 from lift_oracle import peel_lift
-from literature_oracle import jacobi_trudi_g
+from literature_oracle import buch_c, jacobi_trudi_g, rook_strip_d
 from lr_oracle import hook_syt_count, skew_syt_count
 from rpp_oracle import enumerate_rpp, rpp_weight
 
@@ -69,6 +70,64 @@ def test_jacobi_trudi_with_plain_binomials_fails():
     wrong = {la for la in partitions_up_to(4) if g_to_schur(la) != jacobi_trudi_g(la, comb)}
     assert {(1, 1, 1), (2, 2), (2, 1, 1)} <= wrong
     assert not wrong & (set(partitions_up_to(3)) - {(1, 1, 1)})
+
+
+def _g_product_triples(n):
+    """Every (la, mu, nu) with |la| <= n on which G_mu G_nu can reach G_la:
+    |mu| + |nu| <= |la|."""
+    return [(la, mu, nu) for la in partitions_up_to(n)
+            for mu in partitions_up_to(size(la))
+            for nu in partitions_up_to(size(la) - size(mu))]
+
+
+def _coproduct_triples(n):
+    """Every (la, mu, nu) with |la| <= n and mu, nu inside la."""
+    return [(la, mu, nu) for la in partitions_up_to(n)
+            for mu in subpartitions(la) for nu in subpartitions(la)]
+
+
+def test_c_matches_buchs_rule():
+    nonzero = 0
+    for la, mu, nu in _g_product_triples(6):
+        v = c_coeff(la, mu, nu)
+        assert v == buch_c(la, mu, nu), (la, mu, nu)
+        nonzero += v != 0
+    assert (len(_g_product_triples(6)), nonzero) == (2311, 359)
+
+
+def test_buchs_rule_with_decreasing_boxes_fails():
+    # mutant: each box's entries listed in decreasing order in the word
+    def decreasing(box):
+        return sorted(box, reverse=True)
+
+    assert buch_c((2, 1), (1,), (1,), decreasing) == -2 != c_coeff((2, 1), (1,), (1,))
+    assert any(c_coeff(*x) != buch_c(*x, decreasing) for x in _g_product_triples(5))
+
+
+def test_d_matches_the_rook_strip_rule():
+    nonzero = 0
+    for la, mu, nu in _coproduct_triples(6):
+        v = d_coeff(la, mu, nu)
+        assert v == rook_strip_d(la, mu, nu), (la, mu, nu)
+        nonzero += v != 0
+    assert (len(_coproduct_triples(6)), nonzero) == (2122, 925)
+
+
+def test_rook_strip_rule_without_removals_fails():
+    # mutant: only kappa = mu, no rook strip removed
+    def none_removed(mu):
+        return [mu]
+
+    assert rook_strip_d((1,), (1,), (1,), none_removed) == 0 != d_coeff((1,), (1,), (1,))
+    assert any(d_coeff(*x) != rook_strip_d(*x, none_removed) for x in _coproduct_triples(4))
+
+
+def test_tilde_d_sums_the_rook_strip_rule_over_subshapes():
+    d = cache(rook_strip_d)
+    for la, mu, nu in _coproduct_triples(6):
+        want = sum(d(la, alpha, beta) for alpha in subpartitions(mu)
+                   for beta in subpartitions(nu))
+        assert tilde_d(la, mu, nu) == want, (la, mu, nu)
 
 
 def test_g_skew_small_values():

@@ -5,7 +5,7 @@ from dualgroth.partitions import (_between, _box, a_statistic, as_partition,
                                   format_partition, format_skew,
                                   horizontal_strip_additions, interval,
                                   is_horizontal_strip, is_vertical_strip,
-                                  parse_partition, partitions_of,
+                                  partitions_of,
                                   partitions_of_containing, partitions_up_to,
                                   size, skew_half_turn, skew_normal_form,
                                   skew_pieces, sort_key, subpartitions,
@@ -313,9 +313,3 @@ def test_text_forms_round_trip():
     assert format_partition((3, 2, 1)) == "[3,2,1]"
     assert format_partition(()) == "[]"
     assert format_skew((3, 2, 1), (1,)) == "[3,2,1]/[1]"
-    assert parse_partition("[3,2,1]") == (3, 2, 1)
-    assert parse_partition("[]") == ()
-    for la in partitions_up_to(6):
-        assert parse_partition(format_partition(la)) == la
-    with pytest.raises(ValueError):
-        parse_partition("3,2,1")

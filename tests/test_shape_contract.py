@@ -4,6 +4,7 @@ tuple's value; a non-partition raises ValueError and is never cached."""
 
 import pytest
 
+from dualgroth import operators
 from dualgroth.groth import (G_truncated, c_coeff, d_coeff, g_skew,
                              g_to_schur)
 from dualgroth.operators import (IncidenceFn, apply_operator, inc_delta,
@@ -80,3 +81,12 @@ def test_g_to_schur_is_the_g_skew_entry_of_la_and_the_empty_shape():
     assert g_to_schur(list(la)) is g_skew(la, ())
     after = g_skew.cache_info()
     assert after.misses == info.misses and after.currsize == info.currsize
+
+
+def test_incidence_value_reads_a_canonical_pair_without_a_check(monkeypatch):
+    f = inc_zeta((2, 1))
+    checked = []
+    real = operators.as_partition
+    monkeypatch.setattr(operators, "as_partition", lambda la: checked.append(la) or real(la))
+    assert f.value((1,), (2, 1)) == f.value([1], (2, 1, 0)) != f.value((2, 1), (1,))
+    assert checked == [[1], (2, 1, 0), (2, 1), (1,)]
