@@ -10,13 +10,13 @@ import argparse
 import sys
 from functools import cache
 
-from .exprs import ExprError, _parse_shape, eval_expr, parse_expr
+from .exprs import ExprError, _parse_shape, _parse_t, eval_expr, parse_expr
 from .groth import _g_coordinate, c_coeff, d_coeff, schur_to_g
 from .operators import apply_operator, tilde_c, tilde_d
 from .schur import E_series, H_series, TruncSeries, hall, lr_coeff
 from .serialize import g_expansion_json, series_json, symfunc_json, to_text
 from .suites import DEFAULT_SEED, SUITES, iter_cases
-from .tpoly import T, parse_t_value
+from .tpoly import T
 
 
 def _emit(obj):
@@ -24,9 +24,10 @@ def _emit(obj):
     sys.stdout.flush()
 
 
-def _parse_part_arg(text, name):
+def _parse_flag(parse, text, name):
+    """The flag name's text read by parse; a refusal names the flag."""
     try:
-        return _parse_shape(text)
+        return parse(text)
     except ValueError as exc:
         raise ExprError("bad %s: %s" % (name, exc))
 
@@ -66,8 +67,8 @@ def cmd_apply(args):
     if args.mu is not None and args.op != "Gperp":
         raise ExprError("--mu applies to Gperp only")
     value = _polynomial(args.expr, "operators act on polynomial expressions only")
-    t_param = parse_t_value(args.t) if args.t is not None else None
-    mu = _parse_part_arg(args.mu, "--mu") if args.mu is not None else None
+    t_param = _parse_flag(_parse_t, args.t, "--t") if args.t is not None else None
+    mu = _parse_flag(_parse_shape, args.mu, "--mu") if args.mu is not None else None
     _emit_in(args.to, apply_operator(args.op, value, t_param=t_param, mu=mu))
     return 0
 
@@ -79,22 +80,22 @@ def cmd_inner(args):
         raise ExprError("--lambda applies to the G series only")
     value = _polynomial(args.expr, "the pairing takes a polynomial expression")
     if args.series in ("H", "E"):
-        t_param = parse_t_value(args.t) if args.t is not None else T
+        t_param = _parse_flag(_parse_t, args.t, "--t") if args.t is not None else T
         series = (H_series if args.series == "H" else E_series)(value.degree(), t_param)
         result = hall(series, value)
     else:
         if args.la is None:
             raise ExprError("--series G needs --lambda")
         # <G_la, f> = [g_la] f by duality
-        result = _g_coordinate(value, _parse_part_arg(args.la, "--lambda"))
+        result = _g_coordinate(value, _parse_flag(_parse_shape, args.la, "--lambda"))
     _emit({"value": result.text()})
     return 0
 
 
 def cmd_constants(args):
-    la = _parse_part_arg(args.la, "--lambda")
-    mu = _parse_part_arg(args.mu, "--mu")
-    nu = _parse_part_arg(args.nu, "--nu")
+    la = _parse_flag(_parse_shape, args.la, "--lambda")
+    mu = _parse_flag(_parse_shape, args.mu, "--mu")
+    nu = _parse_flag(_parse_shape, args.nu, "--nu")
     fams = {"lr": lr_coeff, "c": c_coeff, "d": d_coeff,
             "ctilde": tilde_c, "dtilde": tilde_d}
     value = fams[args.family](la, mu, nu)

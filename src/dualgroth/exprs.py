@@ -143,6 +143,23 @@ def _parse_shape(text):
     return la
 
 
+def _parse_t(text):
+    """A --t flag's text, read by the tokenizer of expressions: the
+    parameter t, or an integer literal, optionally negated."""
+    parser = _Parser(tokenize(text))
+    if parser.tokens[0] == ("name", "t"):
+        parser.next()
+        value = T
+    else:
+        sign = 1
+        if parser.peek() == "-":
+            parser.next()
+            sign = -1
+        value = TPoly.const(sign * parser.expect("int")[1])
+    parser.expect("end")
+    return value
+
+
 # precedence: additive 1, multiplicative and unary minus 2, atoms 3
 def format_expr(node, parent_prec=0):
     kind = node[0]

@@ -34,9 +34,9 @@ reader, _g_coordinate.
 from functools import cache
 from types import MappingProxyType
 
-from .partitions import (_box, as_partition, contains,
-                         partitions_of_containing, size, skew_half_turn,
-                         skew_normal_form, skew_pieces, transpose)
+from .partitions import (_between, _box, as_partition, contains, size,
+                         skew_half_turn, skew_normal_form, skew_pieces,
+                         transpose)
 from .schur import SymFunc, TruncSeries, schur_expand_raw
 from .tpoly import ZERO, _coerce, add_terms, sum_rows
 
@@ -220,10 +220,31 @@ def schur_to_g(f):
                      for sigma, c in f.terms.items()])
 
 
+def _G_support(la, n):
+    """The bound, row by row, of the shapes mu of size at most n with
+    [s_mu] G_la = [g_la] s_mu nonzero.
+
+    A strict elegant filling of mu/la puts no entry in row 1 and at most
+    i - 1 entries in row i (1-indexed), so mu_1 = la_1 and
+    mu_i <= la_i + i - 1.  The running minimum of min(la_1, la_i + i - 1)
+    down the rows makes the bound a partition; it has the
+    l(la) + n - |la| rows that a shape of size n containing la can have.
+    """
+    if not la:
+        return ()
+    top, bound = la[0], []
+    for i in range(max(len(la), len(la) + n - size(la))):
+        top = min(top, (la[i] if i < len(la) else 0) + i)
+        bound.append(top)
+    return tuple(bound)
+
+
 def _g_coordinate(f, la):
-    """[g_la] f: only the terms of f on shapes containing la reach g_la."""
+    """[g_la] f: only the terms of f on shapes between la and its G
+    support bound reach g_la."""
+    hi = _G_support(la, f.degree())
     return schur_to_g(f._like({sigma: c for sigma, c in f.terms.items()
-                               if contains(la, sigma)})).get(la, ZERO)
+                               if contains(la, sigma) and contains(sigma, hi)})).get(la, ZERO)
 
 
 @cache
@@ -231,15 +252,16 @@ def G_truncated(la, N):
     """The stable Grothendieck series G_la, truncated at degree N.
 
     G_la = sum_mu (-1)^{|mu/la|} N_{la,mu} s_mu (Lenart): entry la of the
-    strict _fillings table of every mu containing la, as listed by
-    partitions_of_containing.  Its terms are a read-only mapping.
+    strict _fillings table of every mu that can hold a strict elegant
+    filling of mu/la, the shapes of each size between la and its support
+    bound _G_support.  Its terms are a read-only mapping.
     """
     la = as_partition(la)
     if N < size(la):
         raise ValueError("cap %d is below |la| = %d" % (N, size(la)))
+    hi = _G_support(la, N)
     column = ((mu, _fillings(mu, len(mu) - 1, True).get(la))
-              for m in range(size(la), N + 1)
-              for mu in partitions_of_containing(m, la))
+              for m in range(size(la), N + 1) for mu in _between(la, hi, m))
     return TruncSeries(N)._like({mu: _coerce(c) for mu, c in column if c}).frozen()
 
 

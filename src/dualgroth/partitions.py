@@ -24,16 +24,21 @@ transposes of that box for the transpose of la.
 
 from functools import cache
 from itertools import product
-from operator import ge, le
+from operator import ge, index, le
 
 
 def as_partition(parts):
     """Normalize an iterable of integers to a canonical partition tuple.
 
     Raises ValueError unless the parts are weakly decreasing positive
-    integers (trailing zeros are stripped).
+    integers (trailing zeros are stripped).  Each part is read with
+    operator.index, so a float or a string part is refused, never
+    truncated or parsed.
     """
-    p = tuple(map(int, parts))
+    try:
+        p = tuple(map(index, parts))
+    except TypeError:
+        raise ValueError("partition parts must be integers: %r" % (parts,))
     while p and p[-1] == 0:
         p = p[:-1]
     if p and not (p[-1] > 0 and all(map(ge, p, p[1:]))):
@@ -225,12 +230,6 @@ def horizontal_strip_additions(mu, k):
     """All la obtained from mu by adding a horizontal strip of exactly k cells,
     canonical order: la_1 <= mu_1 + k and la_{i+1} <= mu_i."""
     return _between(mu, (sum(mu[:1]) + k,) + mu, size(mu) + k)
-
-
-def vertical_strip_additions(la, k):
-    """All mu obtained from la by adding a vertical strip of exactly k cells."""
-    return sorted([transpose(m) for m in horizontal_strip_additions(transpose(la), k)],
-                  key=sort_key)
 
 
 def vertical_strip_removals(nu):

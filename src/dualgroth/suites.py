@@ -1,16 +1,21 @@
 """Named verification suites.
 
 Every identity the kernel implements has a suite here that recomputes both
-sides independently and compares exactly.  Suites yield (case_id, thunk)
-pairs; a thunk returns (ok, lhs, rhs) with canonical serializations of the
-two sides when they disagree.  At the default bounds the 26 suites
-(3,731 cases) run in 0.25-0.45 s in one fresh process on a 2-CPU shared
-host.
+sides independently and compares exactly.  A suite is declared once, by
+``@_suite(name, default_max_size, description, cases)`` on its
+definition, which registers it in SUITES.  With a case family ``cases``,
+a generator (max_size, rng) -> (case id, *args), the definition is the one
+check that every case runs, a function of the args; without one it is a
+generator of (case id, thunk) pairs.  Either way ``iter_cases`` yields
+(case id, thunk) pairs, drawn lazily one case at a time, and a thunk
+returns (ok, lhs, rhs) with canonical serializations of the two sides
+when they disagree.  At the default bounds the 26 suites (3,731 cases)
+run in 0.25-0.45 s in one fresh process on a 2-CPU shared host.
 """
 
 import random
 from collections import namedtuple
-from functools import cache
+from functools import cache, partial
 from types import MappingProxyType
 
 from .groth import (G_truncated, _rpp_packed, c_coeff, g_skew, g_to_schur,
@@ -19,11 +24,10 @@ from .operators import (E_perp, H_perp, inc_convolve, inc_delta, inc_it,
                         inc_jt, inc_mobius, inc_zeta, op_I, op_I_inv, perp,
                         skew_pieri, expand_skew_sum, telescoping_X, tilde_c,
                         tilde_d)
-from .partitions import (column_count, contains, format_partition,
-                         format_skew, interval, is_horizontal_strip,
-                         is_vertical_strip, partitions_of_containing,
-                         partitions_up_to, size, sort_key, subpartitions,
-                         vertical_strip_additions)
+from .partitions import (column_count, contains, format_partition, interval,
+                         is_horizontal_strip, is_vertical_strip,
+                         partitions_of_containing, partitions_up_to, size,
+                         subpartitions)
 from .schur import (E_series, H_series, SymFunc, TruncSeries, _coproduct_pairs,
                     coproduct, antipode, h_gen, hall, is_group_like, phi_t,
                     schur, series_mul, to_polynomial, raw_is_symmetric,
@@ -35,6 +39,24 @@ from .tpoly import ONE, T, ZERO, MultiPoly, TPoly, add_terms
 SuiteSpec = namedtuple("SuiteSpec", ["func", "default_max_size", "description"])
 
 DEFAULT_SEED = 20250808
+
+SUITES = {}
+
+
+def _suite(name, default_max_size, description, cases=None):
+    """Register the decorated definition as the suite `name`.
+
+    Without cases the definition is the suite, a generator
+    (max_size, rng) -> (case id, thunk).  With cases, a case family
+    (max_size, rng) -> (case id, *args), it is the check that every case
+    runs, and a case's thunk is that check bound to the case's args.
+    """
+    def register(fn):
+        func = fn if cases is None else lambda max_size, rng: (
+            (cid, partial(fn, *args)) for cid, *args in cases(max_size, rng))
+        SUITES[name] = SuiteSpec(func, default_max_size, description)
+        return fn
+    return register
 
 
 def _eq(render, first, *sides):
@@ -87,28 +109,40 @@ def _random_series(rng, cap):
     return TruncSeries(cap, terms)
 
 
-def _skew_shapes(max_size):
+def _shapes(max_size, rng, nonempty=False):
+    """(case id, la) for every la with |la| <= max_size; la = (), which
+    partitions_up_to lists first, too unless nonempty."""
+    for la in partitions_up_to(max_size)[nonempty:]:
+        yield format_partition(la), la
+
+
+def _skew_shapes(max_size, rng, nonempty=False):
+    """(case id, la, mu) for every skew shape la/mu with |la| <= max_size;
+    those with no cell too unless nonempty."""
     for la in partitions_up_to(max_size):
+        outer = format_partition(la) + "/"
         for mu in subpartitions(la):
-            yield la, mu
+            if not (nonempty and mu == la):
+                yield outer + format_partition(mu), la, mu
 
 
-def _ordered_pairs(max_size):
-    """(case id, mu, nu) for mu, nu up to max_size, nu not before mu in sort_key order."""
+def _pairs(max_size, rng, ordered=True):
+    """(case id, mu, nu) for mu, nu up to max_size, in canonical order;
+    when ordered, nu not before mu."""
     ps = partitions_up_to(max_size)
-    for mu in ps:
-        for nu in ps:
-            if sort_key(nu) >= sort_key(mu):
-                yield "(%s,%s)" % (format_partition(mu), format_partition(nu)), mu, nu
+    texts = [format_partition(la) for la in ps]
+    for i, mu in enumerate(ps):
+        for j in range(i if ordered else 0, len(ps)):
+            yield "(%s,%s)" % (texts[i], texts[j]), mu, ps[j]
 
 
-def _random_pairs(rng, max_size, count):
+def _random_pairs(max_size, rng, count):
     """(case id, f, g) for count random pairs, drawn one pair per case."""
     for i in range(count):
         yield "pair-%02d" % i, _random_symfunc(rng, max_size), _random_symfunc(rng, max_size)
 
 
-def _random_triples(rng, max_size):
+def _random_triples(max_size, rng):
     """(case id, F, G, f) for 25 random triples, drawn one triple per case."""
     cap = max_size + 2
     for i in range(25):
@@ -123,32 +157,24 @@ def _product_in_g(mu, nu):
 
 # --- rpp / g-basis suites ---------------------------------------------------
 
-def suite_symmetry_gate(max_size, rng):
-    for la, mu in _skew_shapes(max_size):
-        ncells = size(la) - size(mu)
-        n = max(1, min(ncells, len(la)))
-
-        def thunk(la=la, mu=mu, n=n):
-            raw = rpp_generating_poly(la, mu, n)
-            if raw_is_symmetric(raw, n):
-                return (True, None, None)
-            return (False, multipoly_text(MultiPoly(n, raw)), "a symmetric polynomial")
-
-        yield format_skew(la, mu), thunk
+@_suite("symmetry-gate", 5, "raw generating polynomial of every skew g is symmetric",
+        _skew_shapes)
+def _symmetry_gate(la, mu):
+    n = max(1, min(size(la) - size(mu), len(la)))
+    raw = rpp_generating_poly(la, mu, n)
+    if raw_is_symmetric(raw, n):
+        return (True, None, None)
+    return (False, multipoly_text(MultiPoly(n, raw)), "a symmetric polynomial")
 
 
-def suite_g_top_term(max_size, rng):
-    for la in partitions_up_to(max_size):
-        def thunk(la=la):
-            f = g_to_schur(la)
-            if f.coeff(la) != ONE:
-                return (False, symfunc_text(f), "leading coefficient 1 on s%s"
-                        % format_partition(la))
-            bad = [tau for tau in f.terms if tau != la and size(tau) >= size(la)]
-            return (not bad, symfunc_text(f),
-                    "no other component of degree >= %d" % size(la))
-
-        yield format_partition(la), thunk
+@_suite("g-top-term", 7, "g_la has leading Schur term s_la, everything else lower degree",
+        _shapes)
+def _g_top_term(la):
+    f = g_to_schur(la)
+    if f.coeff(la) != ONE:
+        return (False, symfunc_text(f), "leading coefficient 1 on s%s" % format_partition(la))
+    bad = [tau for tau in f.terms if tau != la and size(tau) >= size(la)]
+    return (not bad, symfunc_text(f), "no other component of degree >= %d" % size(la))
 
 
 @cache
@@ -213,7 +239,9 @@ def _outside_support(f, outer, cells):
             % (format_partition(outer), cells))
 
 
-def suite_g_coproduct(max_size, rng):
+@_suite("g-coproduct", 5, "coproduct of skew g matches the split-alphabet evaluation",
+        partial(_skew_shapes, nonempty=True))
+def _g_coproduct(la, mu):
     """Delta g_{la/mu} = sum_nu g_{nu/mu} (x) g_{la/nu}, in a split alphabet:
     the RPP transfer of la/mu in x_1..x_n, y_1..y_n against
     sum_nu g_{nu/mu}(x) g_{la/nu}(y) from the Schur expansions, in
@@ -236,137 +264,106 @@ def suite_g_coproduct(max_size, rng):
     are at most its columns), and the failure texts are decoded at a
     width wide enough for it.
     """
-    for la, mu in _skew_shapes(max_size):
-        m = size(la) - size(mu)
-        if m == 0:
-            continue
-
-        def thunk(la=la, mu=mu, n=min(m, len(la))):
-            nv = 2 * n
-            bits, direct = _rpp_packed(la, mu, nv)
-            reads = [(nu, g_skew(nu, mu), g_skew(la, nu)) for nu in interval(mu, la)]
-            wide = bits
-            while (split := _split_alphabet(reads, n, wide)) is None:
-                wide += 1
-            if wide != bits or split != direct:
-                return (False,
-                        multipoly_text(MultiPoly(nv, unpack_exponents(wide, split, nv))),
-                        multipoly_text(MultiPoly(nv, unpack_exponents(bits, direct, nv))))
-            for nu, fx, fy in reads:
-                fault = (_outside_support(fx, nu, size(nu) - size(mu))
-                         or _outside_support(fy, la, size(la) - size(nu)))
-                if fault:
-                    return fault
-            return (True, None, None)
-
-        yield format_skew(la, mu), thunk
+    n = min(size(la) - size(mu), len(la))
+    nv = 2 * n
+    bits, direct = _rpp_packed(la, mu, nv)
+    reads = [(nu, g_skew(nu, mu), g_skew(la, nu)) for nu in interval(mu, la)]
+    wide = bits
+    while (split := _split_alphabet(reads, n, wide)) is None:
+        wide += 1
+    if wide != bits or split != direct:
+        return (False,
+                multipoly_text(MultiPoly(nv, unpack_exponents(wide, split, nv))),
+                multipoly_text(MultiPoly(nv, unpack_exponents(bits, direct, nv))))
+    for nu, fx, fy in reads:
+        fault = (_outside_support(fx, nu, size(nu) - size(mu))
+                 or _outside_support(fy, la, size(la) - size(nu)))
+        if fault:
+            return fault
+    return (True, None, None)
 
 
-def suite_i_equals_one(max_size, rng):
-    for la, mu in _skew_shapes(max_size):
-        def thunk(la=la, mu=mu):
-            f = g_skew(la, mu)
-            v = hall(H_series(f.degree(), 1), f)
-            return _eq(_text, v, ONE)
-
-        yield format_skew(la, mu), thunk
+@_suite("i-equals-one", 7, "substituting (1,0,0,...) into any skew g gives 1", _skew_shapes)
+def _i_equals_one(la, mu):
+    f = g_skew(la, mu)
+    return _eq(_text, hall(H_series(f.degree(), 1), f), ONE)
 
 
-def suite_single_variable_weight(max_size, rng):
-    for la, mu in _skew_shapes(max_size):
-        def thunk(la=la, mu=mu):
-            got = to_polynomial(g_skew(la, mu), 1)
-            want = MultiPoly(1, {(column_count(la, mu),): ONE})
-            return _eq(multipoly_text, got, want)
-
-        yield format_skew(la, mu), thunk
+@_suite("single-variable-weight", 7, "one-variable evaluation of skew g is t^(column count)",
+        _skew_shapes)
+def _single_variable_weight(la, mu):
+    got = to_polynomial(g_skew(la, mu), 1)
+    return _eq(multipoly_text, got, MultiPoly(1, {(column_count(la, mu),): ONE}))
 
 
-def suite_g_G_duality(max_size, rng):
-    for la in partitions_up_to(max_size):
-        for mu in partitions_up_to(max_size):
-            def thunk(la=la, mu=mu):
-                v = hall(G_truncated(la, max(max_size, size(la))), g_to_schur(mu))
-                want = ONE if la == mu else ZERO
-                return _eq(_text, v, want)
-
-            yield "(%s,%s)" % (format_partition(la), format_partition(mu)), thunk
+@_suite("g-G-duality", 6, "Hall pairing of G_la against g_mu is delta",
+        lambda max_size, rng: ((cid, max_size, la, mu)
+                               for cid, la, mu in _pairs(max_size, rng, ordered=False)))
+def _g_G_duality(N, la, mu):
+    v = hall(G_truncated(la, N), g_to_schur(mu))
+    return _eq(_text, v, ONE if la == mu else ZERO)
 
 
-def suite_sum_rules_c(max_size, rng):
-    for la, mu in _skew_shapes(max_size):
-        def thunk(la=la, mu=mu):
-            total = sum(schur_to_g(g_skew(la, mu)).values(), ZERO)
-            return _eq(_text, total, ONE)
-
-        yield format_skew(la, mu), thunk
+@_suite("sum-rules-c", 6, "coefficients of any skew g over the g basis sum to 1",
+        _skew_shapes)
+def _sum_rules_c(la, mu):
+    return _eq(_text, sum(schur_to_g(g_skew(la, mu)).values(), ZERO), ONE)
 
 
-def suite_sum_rules_d(max_size, rng):
-    for cid, mu, nu in _ordered_pairs(max_size):
-        def thunk(mu=mu, nu=nu):
-            return _eq(_text, sum(_product_in_g(mu, nu).values(), ZERO), ONE)
-
-        yield cid, thunk
+@_suite("sum-rules-d", 4, "g-basis coefficients of g_mu g_nu sum to 1", _pairs)
+def _sum_rules_d(mu, nu):
+    return _eq(_text, sum(_product_in_g(mu, nu).values(), ZERO), ONE)
 
 
-def suite_t_sum_rules(max_size, rng):
-    for la, mu in _skew_shapes(max_size):
-        def thunk(la=la, mu=mu):
-            total = sum((c * T ** column_count(nu)
-                         for nu, c in schur_to_g(g_skew(la, mu)).items()), ZERO)
-            return _eq(_text, total, T ** column_count(la, mu))
+@_suite("t-sum-rules", 5, "t-refined column-count sum rules for both constant families")
+def _t_sum_rules(max_size, rng):
+    for cid, la, mu in _skew_shapes(max_size, rng):
+        yield "c:" + cid, partial(_t_sum_rule_c, la, mu)
+    for cid, mu, nu in _pairs(max_size, rng):
+        yield "d:" + cid, partial(_t_sum_rule_d, mu, nu)
 
-        yield "c:" + format_skew(la, mu), thunk
-    for cid, mu, nu in _ordered_pairs(max_size):
-        def thunk(mu=mu, nu=nu):
-            total = sum((c * T ** column_count(la)
-                         for la, c in _product_in_g(mu, nu).items()), ZERO)
-            return _eq(_text, total, T ** (column_count(mu) + column_count(nu)))
 
-        yield "d:" + cid, thunk
+def _t_sum_rule_c(la, mu):
+    total = sum((c * T ** column_count(nu)
+                 for nu, c in schur_to_g(g_skew(la, mu)).items()), ZERO)
+    return _eq(_text, total, T ** column_count(la, mu))
+
+
+def _t_sum_rule_d(mu, nu):
+    total = sum((c * T ** column_count(la) for la, c in _product_in_g(mu, nu).items()), ZERO)
+    return _eq(_text, total, T ** (column_count(mu) + column_count(nu)))
 
 
 # --- operator suites --------------------------------------------------------
 
-def suite_i_multiplicative(max_size, rng):
-    for cid, f, g in _random_pairs(rng, max_size, 100):
-        def thunk(f=f, g=g):
-            return _eq(symfunc_text, op_I(f * g), op_I(f) * op_I(g))
-
-        yield cid, thunk
+@_suite("i-multiplicative", 4, "the map I is a ring morphism on random pairs",
+        partial(_random_pairs, count=100))
+def _i_multiplicative(f, g):
+    return _eq(symfunc_text, op_I(f * g), op_I(f) * op_I(g))
 
 
-def suite_i_inverse(max_size, rng):
-    for la in partitions_up_to(max_size):
-        def thunk(la=la):
-            f = g_to_schur(la)
-            return _eq(symfunc_text, f, op_I_inv(op_I(f)), op_I(op_I_inv(f)))
-
-        yield format_partition(la), thunk
+@_suite("i-inverse", 7, "I and its inverse compose to the identity on the g basis", _shapes)
+def _i_inverse(la):
+    f = g_to_schur(la)
+    return _eq(symfunc_text, f, op_I_inv(op_I(f)), op_I(op_I_inv(f)))
 
 
-def suite_i_substitution(max_size, rng):
+@_suite("i-substitution", 5, "I acts as the substitution f(x) -> f(1,x)",
+        partial(_shapes, nonempty=True))
+def _i_substitution(la):
     """I(s_la)(x) = s_la(1, x), in n = l(la) variables on the left and
     n + 1 on the right.  The true I(s_la) sums s_k over the k inside la
     with la/k a horizontal strip, so its terms have at most n rows and
     stay linearly independent in n variables; once the two sides agree
     the case also checks that every term of the engine's I(s_la) lies
     inside la, since a term with more rows would vanish."""
-    for la in partitions_up_to(max_size):
-        if not la:
-            continue
-        n = len(la)
-
-        def thunk(la=la, n=n):
-            image = op_I(schur(la))
-            lhs = to_polynomial(image, n)
-            rhs = to_polynomial(schur(la), n + 1).substitute_first(1)
-            if lhs != rhs:
-                return (False, multipoly_text(lhs), multipoly_text(rhs))
-            return _outside_support(image, la, size(la)) or (True, None, None)
-
-        yield format_partition(la), thunk
+    n = len(la)
+    image = op_I(schur(la))
+    lhs = to_polynomial(image, n)
+    rhs = to_polynomial(schur(la), n + 1).substitute_first(1)
+    if lhs != rhs:
+        return (False, multipoly_text(lhs), multipoly_text(rhs))
+    return _outside_support(image, la, size(la)) or (True, None, None)
 
 
 def _interval_sums(la, mu):
@@ -377,79 +374,57 @@ def _interval_sums(la, mu):
             _sum(SymFunc.zero(), ((1, g_skew(la, nu)) for nu in nus)))
 
 
-def suite_i_skew(max_size, rng):
-    for la, mu in _skew_shapes(max_size):
-        def thunk(la=la, mu=mu):
-            return _eq(symfunc_text, op_I(g_skew(la, mu)), *_interval_sums(la, mu))
-
-        yield format_skew(la, mu), thunk
+@_suite("i-skew", 6, "I of a skew g equals both interval sums", _skew_shapes)
+def _i_skew(la, mu):
+    return _eq(symfunc_text, op_I(g_skew(la, mu)), *_interval_sums(la, mu))
 
 
-def suite_perp_composition(max_size, rng):
-    for cid, F, G, f in _random_triples(rng, max_size):
-        def thunk(F=F, G=G, f=f):
-            return _eq(symfunc_text, perp(series_mul(F, G), f), perp(G, perp(F, f)))
-
-        yield cid, thunk
+@_suite("perp-composition", 4, "the perp of a product composes the perps", _random_triples)
+def _perp_composition(F, G, f):
+    return _eq(symfunc_text, perp(series_mul(F, G), f), perp(G, perp(F, f)))
 
 
-def suite_perp_adjoint(max_size, rng):
-    for cid, F, G, f in _random_triples(rng, max_size):
-        def thunk(F=F, G=G, f=f):
-            return _eq(_text, hall(series_mul(F, G), f), hall(G, perp(F, f)))
-
-        yield cid, thunk
+@_suite("perp-adjoint", 4, "perp is adjoint to series multiplication under the Hall pairing",
+        _random_triples)
+def _perp_adjoint(F, G, f):
+    return _eq(_text, hall(series_mul(F, G), f), hall(G, perp(F, f)))
 
 
-def suite_phi_t_intertwine(max_size, rng):
-    for la in partitions_up_to(max_size):
-        def thunk(la=la):
-            lhs = phi_t(H_perp(T, schur(la)))
-            rhs = op_I(phi_t(schur(la)))
-            return _eq(symfunc_text, lhs, rhs)
-
-        yield format_partition(la), thunk
+@_suite("phi-t-intertwine", 5, "variable scaling intertwines the t-deformed and plain perps",
+        _shapes)
+def _phi_t_intertwine(la):
+    return _eq(symfunc_text, phi_t(H_perp(T, schur(la))), op_I(phi_t(schur(la))))
 
 
-def suite_h_perp_basis(max_size, rng):
-    for la in partitions_up_to(max_size):
-        def thunk(la=la):
-            subs = subpartitions(la)
-            by_nu = _sum(SymFunc.zero(), ((T ** column_count(la, nu), g_to_schur(nu))
-                                          for nu in subs))
-            by_skew = _sum(SymFunc.zero(), ((T ** column_count(nu), g_skew(la, nu))
-                                            for nu in subs))
-            return _eq(symfunc_text, H_perp(T, g_to_schur(la)), by_nu, by_skew)
-
-        yield format_partition(la), thunk
+@_suite("h-perp-basis", 6, "two-sided g-basis expansion of the H-series perp", _shapes)
+def _h_perp_basis(la):
+    subs = subpartitions(la)
+    by_nu = _sum(SymFunc.zero(), ((T ** column_count(la, nu), g_to_schur(nu)) for nu in subs))
+    by_skew = _sum(SymFunc.zero(), ((T ** column_count(nu), g_skew(la, nu)) for nu in subs))
+    return _eq(symfunc_text, H_perp(T, g_to_schur(la)), by_nu, by_skew)
 
 
-def suite_e_perp_basis(max_size, rng):
-    for la in partitions_up_to(max_size):
-        def thunk(la=la):
-            by_nu = _sum(SymFunc.zero(), ((_strip_weight(la, nu), g_to_schur(nu))
-                                          for nu in subpartitions(la)
-                                          if is_vertical_strip(la, nu)))
-            closed = _sum(SymFunc.zero(), [(1, g_to_schur(la))] + [
-                (T * (T + ONE) ** (k - 1), g_skew(la, (1,) * k))
-                for k in range(1, len(la) + 1)])
-            return _eq(symfunc_text, E_perp(T, g_to_schur(la)), by_nu, closed)
-
-        yield format_partition(la), thunk
+@_suite("e-perp-basis", 6, "vertical-strip g-basis expansion of the E-series perp", _shapes)
+def _e_perp_basis(la):
+    by_nu = _sum(SymFunc.zero(), ((_strip_weight(la, nu), g_to_schur(nu))
+                                  for nu in subpartitions(la) if is_vertical_strip(la, nu)))
+    closed = _sum(SymFunc.zero(), [(1, g_to_schur(la))] + [
+        (T * (T + ONE) ** (k - 1), g_skew(la, (1,) * k)) for k in range(1, len(la) + 1)])
+    return _eq(symfunc_text, E_perp(T, g_to_schur(la)), by_nu, closed)
 
 
-def suite_e_functional_morphism(max_size, rng):
-    for cid, f, g in _random_pairs(rng, max_size, 25):
-        def thunk(f=f, g=g):
-            F = E_series(f.degree() + g.degree())
-            return _eq(_text, hall(F, f * g), hall(F, f) * hall(F, g))
-
-        yield cid, thunk
+@_suite("e-functional-morphism", 3, "the E-series pairing is an algebra morphism",
+        partial(_random_pairs, count=25))
+def _e_functional_morphism(f, g):
+    F = E_series(f.degree() + g.degree())
+    return _eq(_text, hall(F, f * g), hall(F, f) * hall(F, g))
 
 
 # --- series suites ----------------------------------------------------------
 
-def suite_series_generators(max_size, rng):
+@_suite("series-generators", 6,
+        "generator identities: H(t)E(-t)=1 and the G-expansions of H and E")
+def _series_generators(max_size, rng):
     N = max_size
 
     def unit_check():
@@ -484,13 +459,8 @@ def _containing_up_to(la, N):
         yield from partitions_of_containing(m, la)
 
 
-def _vertical_strips_up_to(la, N):
-    """The shapes mu with at most N cells and mu/la a vertical strip, by size."""
-    for j in range(N - size(la) + 1):
-        yield from vertical_strip_additions(la, j)
-
-
-def suite_series_g_products(max_size, rng):
+@_suite("series-g-products", 3, "products of H(t), E(t) and their specializations against G_la")
+def _series_g_products(max_size, rng):
     N = max_size + 3
     sum_G = _sum(TruncSeries(N), ((1, G_truncated(mu, N)) for mu in partitions_up_to(N)))
     for la in partitions_up_to(max_size):
@@ -505,7 +475,8 @@ def suite_series_g_products(max_size, rng):
         def et_case(la=la):
             lhs = series_mul(E_series(N), G_truncated(la, N))
             rhs = _sum(TruncSeries(N), ((_strip_weight(mu, la), G_truncated(mu, N))
-                                        for mu in _vertical_strips_up_to(la, N)))
+                                        for mu in _containing_up_to(la, N)
+                                        if is_vertical_strip(mu, la)))
             return _eq(series_text, lhs, rhs)
 
         yield "E(t)G%s" % format_partition(la), et_case
@@ -521,15 +492,18 @@ def suite_series_g_products(max_size, rng):
         def d_star_case(la=la):
             lhs = series_mul(TruncSeries.unit(N) - G_truncated((1,), N),
                              G_truncated(la, N))
+            # mu/la a rook strip: both a vertical and a horizontal strip
             rhs = _sum(TruncSeries(N), (((-1) ** (size(mu) - size(la)), G_truncated(mu, N))
-                                        for mu in _vertical_strips_up_to(la, N)
-                                        if is_horizontal_strip(mu, la)))
+                                        for mu in _containing_up_to(la, N)
+                                        if is_vertical_strip(mu, la)
+                                        and is_horizontal_strip(mu, la)))
             return _eq(series_text, lhs, rhs)
 
         yield "(1-G[1])G%s" % format_partition(la), d_star_case
 
 
-def suite_hopf_axioms(max_size, rng):
+@_suite("hopf-axioms", 5, "antipode identity, cocommutativity, group-likeness of H and E")
+def _hopf_axioms(max_size, rng):
     for la in partitions_up_to(max_size):
         def antipode_case(la=la):
             total = _sum(SymFunc.zero(), ((k, antipode(schur(tau)) * schur(rho))
@@ -558,7 +532,8 @@ def suite_hopf_axioms(max_size, rng):
 
 # --- incidence algebra ------------------------------------------------------
 
-def suite_incidence_inverse(max_size, rng):
+@_suite("incidence-inverse", 4, "i_t * j_t = delta on a staircase ground, Moebius specializations")
+def _incidence_inverse(max_size, rng):
     ground = tuple(range(max_size, 0, -1))
     gtext = format_partition(ground)
 
@@ -603,7 +578,8 @@ _EXAMPLE_EXPANSION = {
 }
 
 
-def suite_example_321_1(max_size, rng):
+@_suite("example-321-1", 6, "golden expansion of g[3,2,1]/[1] and its interval-union image")
+def _example_321_1(max_size, rng):
     def expansion_case():
         la, mu = _EXAMPLE_SHAPE
         return _eq(lambda d: to_text(g_expansion_json(d)),
@@ -622,7 +598,8 @@ def suite_example_321_1(max_size, rng):
     yield "interval-union-sum", i_skew_case
 
 
-def suite_counterexamples(max_size, rng):
+@_suite("counterexamples", 13, "the two negative interval-summed structure constants")
+def _counterexamples(max_size, rng):
     def ctilde_case():
         v = tilde_c((5, 3, 2, 2, 1), (3, 2, 1), (3, 2, 1))
         return (v == -1, str(v), "-1")
@@ -643,98 +620,12 @@ def suite_counterexamples(max_size, rng):
     yield "dtilde[5,3,2,1]", dtilde_case
 
 
-def suite_skew_pieri(max_size, rng):
-    for mu in partitions_up_to(max_size):
-        for nu in subpartitions(mu):
-            for k in range(4):
-                def thunk(mu=mu, nu=nu, k=k):
-                    lhs = h_gen(k) * g_skew(mu, nu)
-                    rhs = expand_skew_sum(skew_pieri(k, mu, nu))
-                    return _eq(symfunc_text, lhs, rhs)
-
-                yield "h%d*g%s" % (k, format_skew(mu, nu)), thunk
-
-
-SUITES = {
-    "symmetry-gate": SuiteSpec(
-        suite_symmetry_gate, 5,
-        "raw generating polynomial of every skew g is symmetric"),
-    "g-top-term": SuiteSpec(
-        suite_g_top_term, 7,
-        "g_la has leading Schur term s_la, everything else lower degree"),
-    "g-coproduct": SuiteSpec(
-        suite_g_coproduct, 5,
-        "coproduct of skew g matches the split-alphabet evaluation"),
-    "i-equals-one": SuiteSpec(
-        suite_i_equals_one, 7,
-        "substituting (1,0,0,...) into any skew g gives 1"),
-    "single-variable-weight": SuiteSpec(
-        suite_single_variable_weight, 7,
-        "one-variable evaluation of skew g is t^(column count)"),
-    "g-G-duality": SuiteSpec(
-        suite_g_G_duality, 6,
-        "Hall pairing of G_la against g_mu is delta"),
-    "sum-rules-c": SuiteSpec(
-        suite_sum_rules_c, 6,
-        "coefficients of any skew g over the g basis sum to 1"),
-    "sum-rules-d": SuiteSpec(
-        suite_sum_rules_d, 4,
-        "g-basis coefficients of g_mu g_nu sum to 1"),
-    "t-sum-rules": SuiteSpec(
-        suite_t_sum_rules, 5,
-        "t-refined column-count sum rules for both constant families"),
-    "i-multiplicative": SuiteSpec(
-        suite_i_multiplicative, 4,
-        "the map I is a ring morphism on random pairs"),
-    "i-inverse": SuiteSpec(
-        suite_i_inverse, 7,
-        "I and its inverse compose to the identity on the g basis"),
-    "i-substitution": SuiteSpec(
-        suite_i_substitution, 5,
-        "I acts as the substitution f(x) -> f(1,x)"),
-    "i-skew": SuiteSpec(
-        suite_i_skew, 6,
-        "I of a skew g equals both interval sums"),
-    "perp-composition": SuiteSpec(
-        suite_perp_composition, 4,
-        "the perp of a product composes the perps"),
-    "perp-adjoint": SuiteSpec(
-        suite_perp_adjoint, 4,
-        "perp is adjoint to series multiplication under the Hall pairing"),
-    "phi-t-intertwine": SuiteSpec(
-        suite_phi_t_intertwine, 5,
-        "variable scaling intertwines the t-deformed and plain perps"),
-    "h-perp-basis": SuiteSpec(
-        suite_h_perp_basis, 6,
-        "two-sided g-basis expansion of the H-series perp"),
-    "e-perp-basis": SuiteSpec(
-        suite_e_perp_basis, 6,
-        "vertical-strip g-basis expansion of the E-series perp"),
-    "e-functional-morphism": SuiteSpec(
-        suite_e_functional_morphism, 3,
-        "the E-series pairing is an algebra morphism"),
-    "series-generators": SuiteSpec(
-        suite_series_generators, 6,
-        "generator identities: H(t)E(-t)=1 and the G-expansions of H and E"),
-    "series-g-products": SuiteSpec(
-        suite_series_g_products, 3,
-        "products of H(t), E(t) and their specializations against G_la"),
-    "hopf-axioms": SuiteSpec(
-        suite_hopf_axioms, 5,
-        "antipode identity, cocommutativity, group-likeness of H and E"),
-    "incidence-inverse": SuiteSpec(
-        suite_incidence_inverse, 4,
-        "i_t * j_t = delta on a staircase ground, Moebius specializations"),
-    "example-321-1": SuiteSpec(
-        suite_example_321_1, 6,
-        "golden expansion of g[3,2,1]/[1] and its interval-union image"),
-    "counterexamples": SuiteSpec(
-        suite_counterexamples, 13,
-        "the two negative interval-summed structure constants"),
-    "skew-pieri": SuiteSpec(
-        suite_skew_pieri, 5,
-        "row Pieri products of skew g match the signed binomial formula"),
-}
+@_suite("skew-pieri", 5, "row Pieri products of skew g match the signed binomial formula",
+        lambda max_size, rng: (("h%d*g%s" % (k, cid), k, mu, nu)
+                               for cid, mu, nu in _skew_shapes(max_size, rng)
+                               for k in range(4)))
+def _skew_pieri(k, mu, nu):
+    return _eq(symfunc_text, h_gen(k) * g_skew(mu, nu), expand_skew_sum(skew_pieri(k, mu, nu)))
 
 
 def iter_cases(name, max_size=None, seed=None):

@@ -200,17 +200,6 @@ def _coerce(x):
     raise TypeError("cannot coerce %r to TPoly" % (x,))
 
 
-def parse_t_value(text):
-    """Parse a CLI ``--t`` value: an integer literal or the letter t."""
-    s = text.strip()
-    if s == "t":
-        return T
-    try:
-        return TPoly.const(int(s))
-    except ValueError:
-        raise ValueError("t value must be an integer or 't': %r" % text)
-
-
 def binomial_general(m, n):
     """binom(m, n) for integer m of any sign; zero when n < 0."""
     if n < 0:

@@ -318,6 +318,20 @@ def test_bad_partition_is_named_by_its_parsed_parts(capsys):
         "error: partition parts must be weakly decreasing: [1, 2]\n")
 
 
+@pytest.mark.parametrize("t, err", [
+    ("+3", "expected 'int', found '+'"),
+    ("1_0", "bad character at position 1 in '1_0'"),
+    ("x", "bad character at position 0 in 'x'"),
+    ("2*t", "expected 'end', found '*'"),
+])
+def test_t_flag_is_read_by_the_expression_tokenizer(capsys, t, err):
+    for argv in (("apply", "--op", "Hperp", "--t", t, "s[2,1]"),
+                 ("inner", "--series", "E", "--t", t, "g[2,1]")):
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: bad --t: %s\n" % err
+
+
 def test_flat_sum_of_many_terms(capsys):
     code, lines = run_cli(capsys, "expand", "--to", "s", "+".join(["s[1]"] * 3000))
     assert code == 0

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from dualgroth.exprs import (ExprError, _parse_shape, eval_expr, format_expr,
-                             parse_expr)
+from dualgroth.exprs import (ExprError, _parse_shape, _parse_t, eval_expr,
+                             format_expr, parse_expr)
 from dualgroth.groth import G_truncated, g_skew
 from dualgroth.partitions import format_partition, partitions_up_to
 from dualgroth.schur import SymFunc, TruncSeries, schur, series_mul
-from dualgroth.tpoly import T
+from dualgroth.tpoly import T, TPoly
 
 
 def test_parse_atoms():
@@ -59,6 +59,19 @@ def test_a_shape_reads_as_the_shape_of_an_atom():
         with pytest.raises(ExprError) as atom:
             parse_expr("s" + text)
         assert str(flag.value) == str(atom.value)
+
+
+def test_parse_t_value():
+    # a --t text is t or an integer literal, optionally negated, read by
+    # the expression tokenizer
+    assert _parse_t("t") == T
+    assert _parse_t(" t ") == T
+    assert _parse_t("-3") == TPoly.const(-3)
+    assert _parse_t("0") == TPoly.const(0)
+    assert _parse_t("12") == TPoly.const(12)
+    for text in ["x", "", "+3", "1_0", "-t", "--3", "(3)", "3.5", "2*t", "t t", "3 4"]:
+        with pytest.raises(ExprError):
+            _parse_t(text)
 
 
 def _random_ast(rng, depth):

@@ -403,6 +403,32 @@ def test_G_truncated_matches_triangular_solve_up_to_6():
                 == _G_by_triangular_solve(la, 9)), la
 
 
+def _G_by_column_scan(la, N):
+    # the former route: entry la of the strict table of every shape that
+    # contains la, up to N cells
+    column = {mu: groth._fillings(mu, len(mu) - 1, True).get(la)
+              for m in range(size(la), N + 1) for mu in partitions_of_containing(m, la)}
+    return {mu: c for mu, c in column.items() if c}
+
+
+def test_G_truncated_matches_the_column_scan():
+    # the support bound mu_1 = la_1, mu_i <= la_i + i - 1 drops no term,
+    # on all 300 pairs with |la| <= 7 and |la| <= N <= 11
+    pairs = [(la, N) for la in partitions_up_to(7) for N in range(size(la), 12)]
+    assert len(pairs) == 300
+    for la, N in pairs:
+        assert as_int_dict(G_truncated(la, N).terms) == _G_by_column_scan(la, N), (la, N)
+
+
+def test_g_coordinate_reads_the_G_support():
+    # [g_la] f, read from the terms of f inside the support bound of G_la,
+    # is the coordinate of the whole expansion
+    for la in partitions_up_to(6):
+        for sigma in partitions_up_to(8):
+            f = schur(sigma) + schur((sigma[0] + 1,) + sigma[1:]) if sigma else schur(())
+            assert groth._g_coordinate(f, la) == schur_to_g(f).get(la, ZERO), (la, sigma)
+
+
 def test_c_coeff_examples():
     assert c_coeff((3, 2, 1), (1,), (2, 1)) == 1
     assert c_coeff((3, 2, 1), (1,), (3, 1)) == -1

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import re
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,16 @@ def test_case_lists_are_pinned():
         ids = "\n".join(cid for cid, _ in iter_cases(name, seed=DEFAULT_SEED))
         got[name] = hashlib.sha256(ids.encode()).hexdigest()[:16]
     assert got == CASE_IDS
+
+
+def test_readme_table_lists_the_registry():
+    # a suite cannot be declared without its docs row: the README's suite
+    # table lists exactly the registered names, each with its default bound
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Verification suites\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (\d+) \|", section, re.M)
+    assert sorted((name, int(bound)) for name, bound in rows) == sorted(
+        (name, spec.default_max_size) for name, spec in SUITES.items())
 
 
 @pytest.mark.parametrize("name, case", [("i-skew", "[3,2,1]/[1]"),

@@ -4,7 +4,7 @@ import pytest
 
 from dualgroth.schur import raw_is_symmetric
 from dualgroth.tpoly import (MultiPoly, ONE, T, TPoly, ZERO, add_terms,
-                             binomial_general, parse_t_value)
+                             binomial_general)
 
 
 def test_poly_arith_examples():
@@ -62,13 +62,6 @@ def test_as_int():
     assert ZERO.as_int() == 0
     with pytest.raises(ValueError):
         T.as_int()
-
-
-def test_parse_t_value():
-    assert parse_t_value("t") == T
-    assert parse_t_value("-3") == TPoly.const(-3)
-    with pytest.raises(ValueError):
-        parse_t_value("x")
 
 
 def test_binomial_general():
