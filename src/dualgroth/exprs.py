@@ -7,10 +7,11 @@ form returns the identical syntax tree.
 """
 
 import re
+from operator import add, mul, sub
 
 from .groth import G_truncated, g_skew
 from .partitions import as_partition, format_partition
-from .schur import SymFunc, TruncSeries, e_gen, h_gen, p_gen, schur, series_mul, truncate
+from .schur import SymFunc, e_gen, h_gen, p_gen, schur
 from .tpoly import T, TPoly
 
 
@@ -191,72 +192,51 @@ def format_expr(node, parent_prec=0):
     raise ExprError("unknown node %r" % (kind,))
 
 
-def _promote(a, b):
-    if isinstance(a, TruncSeries) and isinstance(b, SymFunc):
-        return a, _embed(b, a.cap)
-    if isinstance(a, SymFunc) and isinstance(b, TruncSeries):
-        return _embed(a, b.cap), b
-    return a, b
-
-
-def _embed(f, cap):
-    if f.degree() > cap:
-        raise ExprError("polynomial part has degree %d above the cap %d"
-                        % (f.degree(), cap))
-    return truncate(f, cap)
-
-
-_BINARY = ("add", "sub", "mul")
+_BINARY = {"add": add, "sub": sub, "mul": mul}
 
 
 def eval_expr(node, cap=None):
     """Evaluate to a SymFunc, or a TruncSeries when G atoms occur.
 
-    G atoms require an explicit cap; every other value is exact.  A chain
-    of binary operators is folded along its left spine in a loop, so a flat
-    sum of many terms does not recurse once per term.
+    G atoms require an explicit cap; every other value is exact.  The
+    values' own + - * combine them, and the engine's ValueError (p0, a
+    polynomial above the cap) is raised as an ExprError.  A chain of binary
+    operators is folded along its left spine in a loop, so a flat sum of
+    many terms does not recurse once per term.
     """
     kind = node[0]
-    if kind in _BINARY:
-        spine = []
-        while node[0] in _BINARY:
-            spine.append(node)
-            node = node[1]
-        a = eval_expr(node, cap)
-        for op, _, right in reversed(spine):
-            a, b = _promote(a, eval_expr(right, cap))
-            if op == "add":
-                a = a + b
-            elif op == "sub":
-                a = a - b
-            elif isinstance(a, TruncSeries):
-                a = series_mul(a, b)
-            else:
-                a = a * b
-        return a
-    if kind == "int":
-        return SymFunc({(): TPoly.const(node[1])})
-    if kind == "t":
-        return SymFunc({(): T})
-    if kind == "s":
-        return schur(node[1])
-    if kind == "g":
-        return g_skew(node[1], node[2])
-    if kind == "h":
-        return h_gen(node[1])
-    if kind == "e":
-        return e_gen(node[1])
-    if kind == "p":
-        try:
+    try:
+        if kind in _BINARY:
+            spine = []
+            while node[0] in _BINARY:
+                spine.append(node)
+                node = node[1]
+            a = eval_expr(node, cap)
+            for op, _, right in reversed(spine):
+                a = _BINARY[op](a, eval_expr(right, cap))
+            return a
+        if kind == "int":
+            return SymFunc({(): TPoly.const(node[1])})
+        if kind == "t":
+            return SymFunc({(): T})
+        if kind == "s":
+            return schur(node[1])
+        if kind == "g":
+            return g_skew(node[1], node[2])
+        if kind == "h":
+            return h_gen(node[1])
+        if kind == "e":
+            return e_gen(node[1])
+        if kind == "p":
             return p_gen(node[1])
-        except ValueError as exc:
-            raise ExprError(str(exc))
-    if kind == "G":
-        if cap is None:
-            raise ExprError("expressions with G atoms need an explicit cap")
-        if cap < sum(node[1]):
-            raise ExprError("cap %d is below |%s|" % (cap, format_partition(node[1])))
-        return G_truncated(node[1], cap)
-    if kind == "neg":
-        return -eval_expr(node[1], cap)
+        if kind == "G":
+            if cap is None:  # G_truncated(la, None) raises TypeError
+                raise ExprError("expressions with G atoms need an explicit cap")
+            return G_truncated(node[1], cap)
+        if kind == "neg":
+            return -eval_expr(node[1], cap)
+    except ExprError:
+        raise
+    except ValueError as exc:
+        raise ExprError(str(exc))
     raise ExprError("unknown node %r" % (kind,))

@@ -75,16 +75,6 @@ def sort_key(la):
     return (sum(la), tuple(-x for x in la))
 
 
-def cells(outer, inner=()):
-    """Cells of the skew shape outer/inner as 0-based (row, col) pairs."""
-    out = []
-    for r, row_len in enumerate(outer):
-        lo = inner[r] if r < len(inner) else 0
-        for c in range(lo, row_len):
-            out.append((r, c))
-    return out
-
-
 def column_count(outer, inner=()):
     """Number of columns containing at least one cell of outer/inner."""
     lt, it = transpose(outer), transpose(inner)

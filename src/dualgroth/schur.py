@@ -26,8 +26,8 @@ from functools import cache
 from math import factorial
 from types import MappingProxyType
 
-from .partitions import (_box, as_partition, contains, size, sort_key,
-                         subpartitions, transpose)
+from .partitions import (_box, as_partition, contains, size, subpartitions,
+                         transpose)
 from .tpoly import (ONE, T, ZERO, LinComb, MultiPoly, TPoly, _coerce,
                     add_terms, sum_rows)
 
@@ -187,22 +187,14 @@ class SymFunc(LinComb):
     def degree(self):
         return max((size(la) for la in self.terms), default=0)
 
-    def coeff(self, la):
-        return self.terms.get(as_partition(la), ZERO)
-
     def __mul__(self, other):
+        if isinstance(other, SymFunc):
+            return self._like(sum_rows(_lr_rows(self.terms, other.terms)))
         if isinstance(other, (int, TPoly)):
             return self.scale(other)
-        return self._like(sum_rows(_lr_rows(self.terms, other.terms)))
+        return NotImplemented
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        if not self.terms:
-            return "SymFunc(0)"
-        bits = ["(%s)*s%r" % (c.text(), list(la)) for la, c in
-                sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))]
-        return "SymFunc(%s)" % " + ".join(bits)
 
 
 def schur(la):
@@ -244,7 +236,7 @@ class TensorElem(LinComb):
         return (as_partition(key[0]), as_partition(key[1]))
 
     def coeff(self, mu, nu):
-        return self.terms.get(self._key((mu, nu)), ZERO)
+        return LinComb.coeff(self, (mu, nu))
 
     def __mul__(self, other):
         """Componentwise product (a (x) b)(c (x) d) = ac (x) bd, bilinearly."""
@@ -257,11 +249,6 @@ class TensorElem(LinComb):
 
     def swap(self):
         return self._like({(nu, mu): c for (mu, nu), c in self.terms.items()})
-
-    def __repr__(self):
-        bits = ["(%s)*s%r(x)s%r" % (c.text(), list(m), list(n))
-                for (m, n), c in sorted(self.terms.items())]
-        return "TensorElem(%s)" % (" + ".join(bits) or "0")
 
 
 def coproduct(f):
@@ -284,9 +271,11 @@ def phi_t(f):
 class TruncSeries(LinComb):
     """Schur expansion holding every term of degree <= cap.
 
-    Arithmetic between two series truncates to the smaller cap and records
-    it in the result; no coproduct is ever taken of a series.  Not a
-    SymFunc: callers tell a series from a polynomial by its type.
+    A SymFunc operand of + or * is first truncated at the series' cap, so a
+    polynomial of higher degree raises ValueError; arithmetic between two
+    series truncates to the smaller cap and records it in the result, and a
+    product of series is series_mul.  A scalar scales the series.  No
+    coproduct is ever taken of a series.
     """
 
     __slots__ = ("cap",)
@@ -308,15 +297,31 @@ class TruncSeries(LinComb):
     def unit(cap):
         return TruncSeries(cap, {(): ONE})
 
-    def coeff(self, la):
-        return self.terms.get(as_partition(la), ZERO)
+    def _meet(self, other):
+        """other as a series (a SymFunc truncated at this cap), else None."""
+        if isinstance(other, SymFunc):
+            return truncate(other, self.cap)
+        return other if isinstance(other, TruncSeries) else None
 
     def __add__(self, other):
+        other = self._meet(other)
+        if other is None:
+            return NotImplemented
         low = self if self.cap <= other.cap else other
         terms = add_terms(self.terms.copy(), other.terms.items())
         if self.cap != other.cap:
             terms = {la: c for la, c in terms.items() if size(la) <= low.cap}
         return low._like(terms)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, (int, TPoly)):
+            return self.scale(other)
+        other = self._meet(other)
+        return NotImplemented if other is None else series_mul(self, other)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         return LinComb.__eq__(self, other) and self.cap == other.cap
@@ -324,9 +329,7 @@ class TruncSeries(LinComb):
     __hash__ = LinComb.__hash__
 
     def __repr__(self):
-        bits = ["(%s)*s%r" % (c.text(), list(la)) for la, c in
-                sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))]
-        return "TruncSeries(cap=%d, %s)" % (self.cap, " + ".join(bits) or "0")
+        return "cap=%d %s" % (self.cap, LinComb.__repr__(self))
 
 
 def truncate(f, cap):

@@ -3,19 +3,21 @@ sparse linear-combination core, and multivariate polynomials over t.
 
 TPoly is the scalar ring of the whole package; coefficients are Python
 ints, so nothing ever overflows or rounds.  Its arithmetic takes an int
-operand as it is, with no conversion to a TPoly, and builds every result
-through _mk, which wraps a tuple already in canonical form (no trailing
-zero): only a sum can cancel, so only addition strips, and a product of
-nonzero polynomials keeps a nonzero leading coefficient.
+operand as it is, with no conversion to a TPoly, leaves any other operand
+to its reflected operator (so T * f = f * T for a combination f), and
+builds every result through _mk, which wraps a tuple already in canonical
+form (no trailing zero): only a sum can cancel, so only addition strips,
+and a product of nonzero polynomials keeps a nonzero leading coefficient.
 
 add_terms and LinComb hold every finite combination with TPoly
 coefficients: Schur expansions, truncated series, tensor-square elements
-and MultiPoly, which evaluates symmetric generating functions in finitely
-many variables x_1..x_n.  A builder that scales integer tables (LR
-products, skew expansions, Schur polynomials, s -> g rows) hands sum_rows
-its (coefficient, table) pairs, the cached tables as they are; sum_rows
-adds them as ints, one slice per power of t, and builds one TPoly per
-output key, with no TPoly product per table entry or per coefficient.
+and MultiPoly, the value of a symmetric function in x_1..x_n.  A
+combination adds only to its own kind; the subclasses own every rule for
+how two kinds meet.  A builder that scales integer tables (LR products,
+skew expansions, Schur polynomials, s -> g rows) hands sum_rows its
+(coefficient, table) pairs, the cached tables as they are; sum_rows adds
+them as ints, one slice per power of t, and builds one TPoly per output
+key, with no TPoly product per table entry or per coefficient.
 """
 
 from math import factorial
@@ -62,7 +64,7 @@ class TPoly:
         elif isinstance(other, int):
             b = (other,) if other else ()
         else:
-            raise TypeError("cannot add %r to a TPoly" % (other,))
+            return NotImplemented
         if len(a) == len(b) == 1:
             s = a[0] + b[0]
             return _mk((s,)) if s else ZERO
@@ -94,7 +96,7 @@ class TPoly:
         elif isinstance(other, int):
             b = (other,) if other else ()
         else:
-            raise TypeError("cannot multiply a TPoly by %r" % (other,))
+            return NotImplemented
         if not a or not b:
             return ZERO
         if len(a) < len(b):
@@ -304,7 +306,13 @@ class LinComb:
     def is_zero(self):
         return not self.terms
 
+    def coeff(self, key):
+        return self.terms.get(self._key(key), ZERO)
+
     def __add__(self, other):
+        # another kind of operand: Python tries its reflected operator
+        if type(other) is not type(self):
+            return NotImplemented
         return self._like(add_terms(self.terms.copy(), other.terms.items()))
 
     def __neg__(self):
@@ -324,6 +332,10 @@ class LinComb:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        bits = ["(%s)*%r" % (self.terms[k].text(), k) for k in sorted(self.terms)]
+        return "%s(%s)" % (type(self).__name__, " + ".join(bits) or "0")
 
 
 class MultiPoly(LinComb):
@@ -349,54 +361,18 @@ class MultiPoly(LinComb):
         out.nvars = self.nvars
         return out
 
-    @staticmethod
-    def constant(nvars, c):
-        return MultiPoly(nvars, {(0,) * nvars: c})
-
-    @staticmethod
-    def variable(nvars, i):
-        exp = [0] * nvars
-        exp[i] = 1
-        return MultiPoly(nvars, {tuple(exp): ONE})
-
     def __eq__(self, other):
         return LinComb.__eq__(self, other) and self.nvars == other.nvars
 
     __hash__ = LinComb.__hash__
 
     def __add__(self, other):
-        if self.nvars != other.nvars:
+        if type(other) is MultiPoly and self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
         return LinComb.__add__(self, other)
-
-    def mul(self, other):
-        """Exact product."""
-        if self.nvars != other.nvars:
-            raise ValueError("variable-count mismatch")
-        out = {}
-        for e1, c1 in self.terms.items():
-            add_terms(out, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                            for e2, c2 in other.terms.items()))
-        return self._like(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, TPoly)):
-            return self.scale(other)
-        return self.mul(other)
-
-    __rmul__ = __mul__
 
     def substitute_first(self, value):
         """Set x_1 = value (an integer) and drop that variable."""
         out = add_terms({}, ((exp[1:], c * (value ** exp[0]) if exp[0] else c)
                              for exp, c in self.terms.items()))
         return MultiPoly(self.nvars - 1)._like(out)
-
-    def __repr__(self):
-        if not self.terms:
-            return "MultiPoly(0)"
-        bits = []
-        for exp in sorted(self.terms, reverse=True):
-            mono = "*".join("x%d^%d" % (i + 1, e) for i, e in enumerate(exp) if e)
-            bits.append("(%s)%s" % (self.terms[exp].text(), "*" + mono if mono else ""))
-        return "MultiPoly(%s)" % " + ".join(bits)

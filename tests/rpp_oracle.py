@@ -5,7 +5,13 @@ fillings of a skew shape column by column in a transfer: this module
 lists every filling cell by cell and weighs each on its own.
 """
 
-from dualgroth.partitions import cells, contains
+from dualgroth.partitions import contains
+
+
+def cells(outer, inner=()):
+    """Cells of the skew shape outer/inner as 0-based (row, col) pairs."""
+    return [(r, c) for r, row_len in enumerate(outer)
+            for c in range(inner[r] if r < len(inner) else 0, row_len)]
 
 
 def enumerate_rpp(outer, inner, max_entry):

@@ -169,6 +169,20 @@ def test_a_G_atom_is_refused_as_not_a_polynomial(capsys, argv, err):
     assert captured.out == "" and captured.err == "error: %s\n" % err
 
 
+@pytest.mark.parametrize("expr, refusal", [
+    ("G[1]*s[3]", lambda: schur.truncate(schur.schur((3,)), 2)),
+    ("s[3]+G[1]", lambda: schur.truncate(schur.schur((3,)), 2)),
+    ("G[2,1]", lambda: G_truncated((2, 1), 2)),
+])
+def test_a_value_past_the_cap_is_the_engines_refusal(capsys, expr, refusal):
+    # the engine's ValueError is the one message, raised by the values
+    with pytest.raises(ValueError) as exc:
+        refusal()
+    assert cli.main(["expand", "--to", "s", "--cap", "2", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: %s\n" % exc.value
+
+
 def test_staircase_g_expands(capsys):
     code, lines = run_cli(capsys, "expand", "--to", "s", "g[6,5,4,3,2,1]")
     assert code == 0

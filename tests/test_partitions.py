@@ -2,7 +2,7 @@ import pytest
 
 from dualgroth.groth import c_coeff
 from dualgroth.partitions import (_between, _box, a_statistic, as_partition,
-                                  cells, column_count, contains,
+                                  column_count, contains,
                                   format_partition, format_skew,
                                   horizontal_strip_additions, interval,
                                   is_horizontal_strip, is_vertical_strip,
@@ -13,6 +13,7 @@ from dualgroth.partitions import (_between, _box, a_statistic, as_partition,
                                   transpose, vertical_strip_removals)
 from dualgroth.schur import _branching
 from mobius_oracle import mobius
+from rpp_oracle import cells
 
 
 def test_as_partition_normalizes():

@@ -3,6 +3,7 @@ import time
 from functools import cache
 from itertools import permutations, product
 from math import comb
+from operator import add, mul, sub
 from types import ModuleType
 
 import pytest
@@ -18,7 +19,7 @@ from dualgroth.schur import (E_series, H_series, SymFunc, TensorElem,
                              is_group_like, lr_coeff, p_gen, phi_t,
                              raw_is_symmetric, schur, schur_expand_raw,
                              series_mul, ssyt_poly, to_polynomial, truncate)
-from dualgroth.groth import _fillings, schur_to_g
+from dualgroth.groth import G_truncated, _fillings, schur_to_g
 from dualgroth.operators import perp
 from dualgroth.tpoly import MultiPoly, ONE, T, TPoly, ZERO, add_terms, sum_rows
 from lift_oracle import peel_lift
@@ -246,7 +247,11 @@ def test_mul_matches_polynomial_multiplication():
         g = random_symfunc(rng, 3)
         n = max(1, f.degree() + g.degree())
         lhs = to_polynomial(f * g, n)
-        rhs = to_polynomial(f, n).mul(to_polynomial(g, n))
+        product = {}
+        for e1, c1 in to_polynomial(f, n).terms.items():
+            add_terms(product, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                                for e2, c2 in to_polynomial(g, n).terms.items()))
+        rhs = MultiPoly(n, product)
         assert lhs == rhs
 
 
@@ -487,6 +492,59 @@ def test_truncate_checks_cap():
     assert truncate(f, 5).cap == 5
     with pytest.raises(ValueError):
         truncate(f, 2)
+
+
+# One rule for how a polynomial meets a series, in the classes: the
+# polynomial is truncated at the series' cap, two series meet at the
+# smaller cap, and a product of series is series_mul.
+def _as_series(x, cap):
+    return x if isinstance(x, TruncSeries) else truncate(x, cap)
+
+
+def test_a_polynomial_meets_a_series_at_its_cap():
+    G = G_truncated((1,), 3)
+    values = [schur((1,)), schur((1,)).scale(T), G]
+    for a in values:
+        for b in values:
+            if G not in (a, b):
+                continue
+            A, B = _as_series(a, 3), _as_series(b, 3)
+            for op, want in ((add, A + B), (sub, A - B), (mul, series_mul(A, B))):
+                got = op(a, b)
+                assert isinstance(got, TruncSeries) and got.cap == 3, (op, a, b)
+                assert got == want, (op, a, b)
+    for c in (2, T):
+        for got in (c * G, G * c):
+            assert isinstance(got, TruncSeries) and got == G.scale(c)
+    G5 = G_truncated((1,), 5)
+    low = TruncSeries(3, G5.terms)
+    for got, want in ((G + G5, G + low), (G5 + G, G + low), (G5 - G, low - G),
+                      (G * G5, series_mul(G, low)), (G5 * G, series_mul(G, low))):
+        assert got.cap == 3 and got == want
+
+
+def test_a_polynomial_above_the_cap_is_refused():
+    G, f = G_truncated((1,), 3), schur((2, 2))
+    for op in (lambda: f + G, lambda: G + f, lambda: f - G, lambda: G - f,
+               lambda: f * G, lambda: G * f):
+        with pytest.raises(ValueError):
+            op()
+
+
+def test_scalars_multiply_from_either_side():
+    f = schur((2, 1)) + schur((1,))
+    assert T * f == f * T == f.scale(T)
+    assert ONE * f == f
+    for bad in (lambda: T * "x", lambda: T + "x", lambda: f * "x", lambda: 2 + f):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_kinds_that_do_not_meet_refuse_to_add():
+    p, f, F = MultiPoly(2, {(1, 0): 1}), schur((1,)), H_series(2)
+    for a, b in ((p, f), (f, p), (p, F), (F, p), (f, coproduct(f))):
+        with pytest.raises(TypeError):
+            a + b
 
 
 def test_is_group_like():
