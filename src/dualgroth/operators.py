@@ -13,10 +13,13 @@ g under I by the interval identity I(g_{la/mu}) = sum over kappa in
 [mu, la] of g_{la/kappa}, which the i-skew suite checks.  Every
 incidence function is built by _incidence from its row {mu: value} at
 each shape la: the Moebius function reads the box of rook strips and j_t
-the vertical strips removed from la.
+the vertical strips removed from la.  The skew Pieri rule reads two
+cached per-shape strip tables, the horizontal strips added to mu and the
+vertical strips removed from nu, each with its a-statistic.
 """
 
 from functools import cache
+from operator import index
 from types import MappingProxyType
 
 from .groth import G_truncated, _g_coordinate, g_skew, g_to_schur
@@ -24,8 +27,7 @@ from .partitions import (_box, a_statistic, as_partition, column_count,
                          contains, horizontal_strip_additions, size,
                          subpartitions, transpose, vertical_strip_removals)
 from .schur import SymFunc, _branching, _skew
-from .tpoly import (ONE, T, ZERO, TPoly, _coerce, add_terms, binomial_general,
-                    sum_rows)
+from .tpoly import ONE, T, ZERO, TPoly, _coerce, binomial_general, sum_rows
 
 
 def perp(F, f):
@@ -253,46 +255,65 @@ def telescoping_X(q):
 # ---------------------------------------------------------------------------
 # Skew Pieri rule and the interval-summed structure constants.
 
+@cache
+def _grown(mu, grow):
+    """The horizontal strips la/mu of grow cells, each as (la, a(la, mu));
+    a read-only table shared by every call that adds grow cells to mu."""
+    return tuple((la, a_statistic(la, mu)) for la in horizontal_strip_additions(mu, grow))
+
+
+@cache
+def _shrunk(nu):
+    """The vertical strips nu/eta, each as (eta, |nu/eta|, a(nu', eta')),
+    in canonical order; a read-only table shared by every call at nu."""
+    nut = transpose(nu)
+    return tuple((eta, size(nu) - size(eta), a_statistic(nut, transpose(eta)))
+                 for eta in vertical_strip_removals(nu))
+
+
 def skew_pieri(k, mu, nu):
     """Formal expansion of h_k g_{mu/nu} over skew shapes.
 
     Returns {(la, eta): integer} summed over la containing mu with la/mu a
     horizontal strip and eta inside nu with nu/eta a vertical strip.  The
     binomial weight uses the falling-factorial extension and is zero for a
-    negative lower index.
+    negative lower index.  The strips and their a-statistics come from
+    the cached tables _grown and _shrunk; each (la, eta) occurs once, in
+    the order grow, la, eta, and a zero weight leaves its key out.
     """
+    k = index(k)
     mu, nu = as_partition(mu), as_partition(nu)
     if k < 0:
         raise ValueError("k must be >= 0")
     if not contains(nu, mu):
         raise ValueError("invalid skew shape %r/%r" % (mu, nu))
-    nut = transpose(nu)
-    lowers = [(eta, size(nu) - size(eta), a_statistic(nut, transpose(eta)))
-              for eta in vertical_strip_removals(nu)]
-
-    def pieri_terms():
-        for grow in range(k + 1):
-            for la in horizontal_strip_additions(mu, grow):
-                a_top = a_statistic(la, mu)
-                for eta, shrink, a_eta in lowers:
-                    lower = k - grow - shrink
-                    if lower < 0:
-                        continue
-                    m = a_top - a_eta - shrink
-                    yield (la, eta), (-1) ** (k - grow) * binomial_general(m, lower)
-
-    return add_terms({}, pieri_terms())
+    lowers = _shrunk(nu)
+    out = {}
+    for grow in range(k + 1):
+        sign = -1 if (k - grow) % 2 else 1
+        for la, a_top in _grown(mu, grow):
+            for eta, shrink, a_eta in lowers:
+                lower = k - grow - shrink
+                if lower >= 0 and (c := binomial_general(a_top - a_eta - shrink, lower)):
+                    out[la, eta] = sign * c
+    return out
 
 
 def expand_skew_sum(formal):
-    """Evaluate a formal {(la, eta): int} sum into a SymFunc: c times the
-    integer Schur coefficients of each g_skew term, added into one dict."""
-    acc = {}
-    get = acc.get
+    """Evaluate a formal {(la, eta): coefficient} sum into a SymFunc.
+
+    Each coefficient is an int or a TPoly, read through _coerce (so a
+    float is refused).  The terms are grouped by coefficient: each
+    distinct c scales one int row, the integer Schur coefficients of its
+    g_skew terms added together, and sum_rows adds the scaled rows.
+    """
+    rows = {}
     for (la, eta), c in formal.items():
+        row = rows.setdefault(_coerce(c), {})
+        get = row.get
         for mu, k in g_skew(la, eta).terms.items():
-            acc[mu] = get(mu, 0) + c * k.as_int()
-    return SymFunc()._like(sum_rows([(ONE, acc)]))
+            row[mu] = get(mu, 0) + k.as_int()
+    return SymFunc()._like(sum_rows(rows.items()))
 
 
 def tilde_c(la, mu, nu):

@@ -10,7 +10,7 @@ generator of (case id, thunk) pairs.  Either way ``iter_cases`` yields
 (case id, thunk) pairs, drawn lazily one case at a time, and a thunk
 returns (ok, lhs, rhs) with canonical serializations of the two sides
 when they disagree.  At the default bounds the 26 suites (3,731 cases)
-run in 0.25-0.45 s in one fresh process on a 2-CPU shared host.
+run in 0.18-0.31 s in one fresh process on a 2-CPU shared host.
 """
 
 import random
@@ -323,15 +323,21 @@ def _t_sum_rules(max_size, rng):
         yield "d:" + cid, partial(_t_sum_rule_d, mu, nu)
 
 
+def _by_columns(expansion):
+    """Sum of c t^(column count of la) over a g expansion {la: c}: the
+    coefficients tallied by column count first, so one power and one
+    product are taken per distinct count, not per term."""
+    tally = add_terms({}, ((column_count(la), c) for la, c in expansion.items()))
+    return sum((c * T ** d for d, c in tally.items()), ZERO)
+
+
 def _t_sum_rule_c(la, mu):
-    total = sum((c * T ** column_count(nu)
-                 for nu, c in schur_to_g(g_skew(la, mu)).items()), ZERO)
-    return _eq(_text, total, T ** column_count(la, mu))
+    return _eq(_text, _by_columns(schur_to_g(g_skew(la, mu))), T ** column_count(la, mu))
 
 
 def _t_sum_rule_d(mu, nu):
-    total = sum((c * T ** column_count(la) for la, c in _product_in_g(mu, nu).items()), ZERO)
-    return _eq(_text, total, T ** (column_count(mu) + column_count(nu)))
+    return _eq(_text, _by_columns(_product_in_g(mu, nu)),
+               T ** (column_count(mu) + column_count(nu)))
 
 
 # --- operator suites --------------------------------------------------------

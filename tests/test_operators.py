@@ -19,6 +19,7 @@ from dualgroth.schur import (E_series, H_series, SymFunc, TruncSeries,
 from dualgroth.tpoly import ONE, T, TPoly, ZERO, add_terms
 from lr_oracle import lr_scan
 from mobius_oracle import is_rook_strip, mobius
+from pieri_oracle import skew_pieri_terms
 
 
 def as_int_dict(expansion):
@@ -376,6 +377,47 @@ def test_skew_pieri_matches_product():
                 lhs = h_gen(k) * g_skew(mu, nu)
                 rhs = expand_skew_sum(skew_pieri(k, mu, nu))
                 assert lhs == rhs, (k, mu, nu)
+
+
+def test_skew_pieri_matches_term_oracle():
+    # the cached strip tables give the term-by-term rule's dict, keys in
+    # the same order
+    for mu in partitions_up_to(6):
+        for nu in subpartitions(mu):
+            for k in range(5):
+                got = skew_pieri(k, mu, nu)
+                assert list(got.items()) == list(skew_pieri_terms(k, mu, nu).items()), (k, mu, nu)
+
+
+def test_skew_pieri_result_is_the_callers_own():
+    first = skew_pieri(2, (2, 1), (1,))
+    want = dict(first)
+    first.clear()
+    first[((9,), ())] = 5
+    assert skew_pieri(2, (2, 1), (1,)) == want
+
+
+def test_skew_pieri_reads_k_as_an_integer():
+    for k in ("2", 1.5, None):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            skew_pieri(k, (1,), ())
+
+
+def test_expand_skew_sum_reads_coefficients_through_the_ring():
+    g21 = g_skew((2, 1))
+    got = expand_skew_sum({((2, 1), ()): T})
+    assert got == T * g21
+    assert all(type(x) is int for c in got.terms.values() for x in c.coeffs)
+    formal = {((2, 1), ()): T, ((2,), ()): 3, ((1,), ()): -1, ((3, 1), (1,)): T - 2,
+              ((2, 2), (1,)): 3}
+    want = SymFunc.zero()
+    for (la, eta), c in formal.items():
+        want = want + g_skew(la, eta).scale(c)
+    assert_same_terms(expand_skew_sum(formal).terms, want.terms)
+    with pytest.raises(TypeError):
+        expand_skew_sum({((2, 1), ()): 1.5})
+    with pytest.raises(TypeError):
+        expand_skew_sum({((2, 1), ()): 1, ((2,), ()): 1.0})
 
 
 def test_skew_pieri_reproduces_worked_expansion():
