@@ -9,6 +9,14 @@ builds every result through _mk, which wraps a tuple already in canonical
 form (no trailing zero): only a sum can cancel, so only addition strips,
 and a product of nonzero polynomials keeps a nonzero leading coefficient.
 
+A TPoly is never mutated once built, so equal values may share one
+object: most coefficients are t-free integers, and every integer in
+-256..256 has one shared TPoly (_SMALL), which _coerce, TPoly.const, the
+arithmetic and sum_rows return instead of a new object whenever their
+result is that integer.  Only TPoly.__init__ and _mk assign .coeffs (a
+test scans the package for any other assignment).  _coerce refuses a
+bool, which would otherwise pass as the int it hashes like.
+
 add_terms and LinComb hold every finite combination with TPoly
 coefficients: Schur expansions, truncated series, tensor-square elements
 and MultiPoly, the value of a symmetric function in x_1..x_n.  A
@@ -16,8 +24,10 @@ combination adds only to its own kind; the subclasses own every rule for
 how two kinds meet.  A builder that scales integer tables (LR products,
 skew expansions, Schur polynomials, s -> g rows) hands sum_rows its
 (coefficient, table) pairs, the cached tables as they are; sum_rows adds
-them as ints, one slice per power of t, and builds one TPoly per output
-key, with no TPoly product per table entry or per coefficient.
+them as ints, one slice per power of t (the first table of a power is
+copied whole, never aliased), merges the slices in one pass over them,
+and builds one TPoly per output key, with no TPoly product per table
+entry or per coefficient.
 """
 
 from math import factorial
@@ -39,7 +49,7 @@ class TPoly:
 
     @staticmethod
     def const(n):
-        return TPoly((n,))
+        return _SMALL[n] if -257 < n < 257 else _mk((n,))
 
     def is_zero(self):
         return not self.coeffs
@@ -67,21 +77,31 @@ class TPoly:
             return NotImplemented
         if len(a) == len(b) == 1:
             s = a[0] + b[0]
-            return _mk((s,)) if s else ZERO
-        if len(a) < len(b):
-            a, b = b, a
-        if len(a) > len(b):
-            return _mk(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-        # equal lengths: the leading terms may cancel
-        out = [x + y for x, y in zip(a, b)]
-        while out and not out[-1]:
-            out.pop()
-        return _mk(tuple(out))
+        else:
+            if len(a) < len(b):
+                a, b = b, a
+            if len(a) > len(b):
+                if len(a) > 1:
+                    return _mk(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+                s = a[0]  # the other operand is zero
+            else:
+                # equal lengths: the leading terms may cancel
+                out = [x + y for x, y in zip(a, b)]
+                while out and not out[-1]:
+                    out.pop()
+                if len(out) > 1:
+                    return _mk(tuple(out))
+                s = out[0] if out else 0
+        return _SMALL[s] if -257 < s < 257 else _mk((s,))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _mk(tuple(-x for x in self.coeffs))
+        a = self.coeffs
+        if len(a) > 1:
+            return _mk(tuple(-x for x in a))
+        s = -a[0] if a else 0
+        return _SMALL[s] if -257 < s < 257 else _mk((s,))
 
     def __sub__(self, other):
         return self + -other
@@ -103,7 +123,10 @@ class TPoly:
             a, b = b, a
         if len(b) == 1:
             k = b[0]
-            return _mk((a[0] * k,) if len(a) == 1 else tuple(x * k for x in a))
+            if len(a) > 1:
+                return _mk(tuple(x * k for x in a))
+            s = a[0] * k
+            return _SMALL[s] if -257 < s < 257 else _mk((s,))
         # nonzero leading coefficients multiply to a nonzero one: no strip
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -123,7 +146,10 @@ class TPoly:
         d = len(a) - 1
         if not any(a[:d]):
             # a monomial c*t^d, constants included
-            return _mk((0,) * (d * n) + (a[d] ** n,))
+            s = a[d] ** n
+            if d and n:
+                return _mk((0,) * (d * n) + (s,))
+            return _SMALL[s] if -257 < s < 257 else _mk((s,))
         out, base = ONE, self
         while True:
             if n & 1:
@@ -189,16 +215,22 @@ def _mk(coeffs):
     return p
 
 
-ZERO = TPoly()
-ONE = TPoly((1,))
-T = TPoly((0, 1))
+ZERO = _mk(())
+T = _mk((0, 1))
+# The shared TPoly of each integer v in -256..256 is _SMALL[v]: index v for
+# v >= 0 and, by Python's negative indexing, 513 + v for v < 0.  Every
+# reader inlines the lookup as
+#     _SMALL[v] if -257 < v < 257 else _mk((v,))
+# since a helper call costs more than the object it saves.
+_SMALL = tuple(_mk((v,)) if v else ZERO for v in (*range(257), *range(-256, 0)))
+ONE = _SMALL[1]
 
 
 def _coerce(x):
     if isinstance(x, TPoly):
         return x
-    if isinstance(x, int):
-        return _mk((x,)) if x else ZERO
+    if isinstance(x, int) and x.__class__ is not bool:
+        return _SMALL[x] if -257 < x < 257 else _mk((x,))
     raise TypeError("cannot coerce %r to TPoly" % (x,))
 
 
@@ -235,13 +267,15 @@ def add_terms(acc, pairs):
 
 def sum_rows(pairs):
     """The dict sum of c * table over (c, table) pairs, for nonzero TPolys
-    c (repeats allowed) and mappings table: key -> int; a key whose terms
-    cancel is dropped.
+    c (repeats allowed) and tables key -> int (dicts or read-only views of
+    dicts); a key whose terms cancel is dropped.
 
     Each table is added straight into per-key int slices, one per power of
     t: a constant c touches one slice, c = sum a_d t^d one per nonzero a_d.
-    Each key's TPoly is then built once from its slices, so no TPoly
-    arithmetic runs here.
+    The first table of a slice is copied whole (table.copy() when a_d is
+    1), the others added entry by entry.  One pass over the slices then
+    gathers each key's coefficients, and its TPoly is built once, so no
+    TPoly arithmetic runs here.
     """
     slices = []
     for c, table in pairs:
@@ -251,18 +285,36 @@ def sum_rows(pairs):
             while len(slices) <= d:
                 slices.append({})
             s = slices[d]
+            if not s:
+                # the first table of this power: a copy, never the table
+                slices[d] = table.copy() if a == 1 else {key: a * k for key, k in table.items()}
+                continue
             get = s.get
             for key, k in table.items():
                 s[key] = get(key, 0) + a * k
     if len(slices) == 1:
-        return {key: _mk((v,)) for key, v in slices[0].items() if v}
+        return {key: _SMALL[v] if -257 < v < 257 else _mk((v,))
+                for key, v in slices[0].items() if v}
+    # one pass over the slices: each key's coefficient list, in the order
+    # the keys first appear
+    n = len(slices)
+    merged = {}
+    get = merged.get
+    for d, s in enumerate(slices):
+        for key, v in s.items():
+            cs = get(key)
+            if cs is None:
+                merged[key] = cs = [0] * n
+            cs[d] = v
     out = {}
-    for key in {key: None for s in slices for key in s}:
-        cs = [s.get(key, 0) for s in slices]
+    for key, cs in merged.items():
         while cs and not cs[-1]:
             cs.pop()
-        if cs:
+        if len(cs) > 1:
             out[key] = _mk(tuple(cs))
+        elif cs:
+            v = cs[0]
+            out[key] = _SMALL[v] if -257 < v < 257 else _mk((v,))
     return out
 
 

@@ -641,6 +641,13 @@ def test_sum_rows_leaves_cached_tables_unchanged():
     perp(H_series(6, T), f)
     schur_to_g(f)
     assert [dict(read()) for read in reads] == before
+    # a plain, writable dict as the first table of a power: sum_rows copies
+    # it, so the second table on the same keys never writes into it
+    for c in (ONE, -ONE):
+        first = {"a": 1, "b": 2}
+        got = sum_rows([(c, first), (c, {"a": 3, "b": -2})])
+        assert first == {"a": 1, "b": 2}
+        assert got == {"a": c * 4}
 
 
 def cancelling_pairs(max_size):

@@ -1,10 +1,14 @@
+import ast
+import os
 import random
 
 import pytest
 
-from dualgroth.schur import raw_is_symmetric
-from dualgroth.tpoly import (MultiPoly, ONE, T, TPoly, ZERO, add_terms,
-                             binomial_general)
+import dualgroth
+from dualgroth.operators import IncidenceFn, expand_skew_sum
+from dualgroth.schur import SymFunc, TruncSeries, raw_is_symmetric
+from dualgroth.tpoly import (MultiPoly, ONE, T, TPoly, ZERO, _coerce, add_terms,
+                             binomial_general, sum_rows)
 
 
 def test_poly_arith_examples():
@@ -193,3 +197,83 @@ def test_scalar_fast_paths_match_dense_reference():
     check_binary()
     check_pow()
     assert ZERO ** 0 == ONE
+
+
+# Every integer in -256..256 has one shared TPoly: each route that builds a
+# t-free coefficient returns that object.  Just outside the range each route
+# builds a new object, equal to the value.
+
+def _constant_routes(v):
+    """v as a TPoly, by each route that builds a t-free coefficient."""
+    routes = [_coerce(v), TPoly.const(v),
+              TPoly(v - 1) + ONE, ONE + (v - 1), ZERO + v, TPoly(v) + 0,
+              (T + v) - T,                              # the t terms cancel
+              TPoly(v) * ONE, ONE * v, -TPoly(-v), -(-v * ONE),
+              TPoly(v) ** 1, (T * 3) ** 0 * v]
+    if v:
+        routes += [sum_rows([(ONE, {"a": v})])["a"],
+                   sum_rows([(TPoly(v), {"a": 1}), (T, {"b": 1})])["a"]]
+    return routes
+
+
+def test_small_constants_are_shared():
+    assert _coerce(0) is ZERO and _coerce(1) is ONE
+    for v in range(-256, 257):
+        shared = _coerce(v)
+        assert shared.coeffs == ((v,) if v else ())
+        assert all(r is shared for r in _constant_routes(v)), v
+
+
+def test_constants_outside_the_table_are_new_objects():
+    for v in (-1000, -257, 257, 1000):
+        routes = _constant_routes(v) + _constant_routes(v)
+        assert all(r == v and r.coeffs == (v,) for r in routes)
+        assert len({id(r) for r in routes}) == len(routes), v
+
+
+def _coeffs_writers(tree):
+    """The qualified names of the functions that assign, delete or setattr
+    an attribute named coeffs."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs" \
+                and isinstance(node.ctx, (ast.Store, ast.Del)):
+            found.add(".".join(scope))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("setattr", "delattr") \
+                and any(isinstance(a, ast.Constant) and a.value == "coeffs" for a in node.args):
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_constructors_assign_coeffs():
+    # one mutated shared constant would corrupt every equal coefficient in
+    # every cache
+    src = os.path.dirname(dualgroth.__file__)
+    writers = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                for where in _coeffs_writers(ast.parse(fh.read())):
+                    writers.setdefault(where, []).append(name)
+    assert writers == {"TPoly.__init__": ["tpoly.py"], "_mk": ["tpoly.py"]}
+
+
+def test_coerce_refuses_a_bool():
+    # True hashes and compares like 1, so it would pass for the shared 1
+    builds = [lambda c: SymFunc({(1,): c}),
+              lambda c: IncidenceFn((1,), {((), (1,)): c}),
+              lambda c: TruncSeries(2, {(): c}),
+              lambda c: expand_skew_sum({((1,), ()): c})]
+    for build in builds:
+        for flag in (True, False):
+            with pytest.raises(TypeError, match=repr(flag)):
+                build(flag)
+        assert build(1) == build(TPoly(1)) == build(ONE)
+    assert SymFunc({(1,): 1}).terms[(1,)] is ONE
